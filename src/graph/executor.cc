@@ -15,45 +15,18 @@ Result<GraphRunResult> GraphExecutor::Run(
     const std::map<VertexId, std::vector<ObjectRef>>& source_inputs) {
   GraphRunResult result;
 
-  // (vertex) -> per-shard output ref.
-  std::map<VertexId, std::vector<ObjectRef>> outputs;
-  // (edge src, src shard) -> partition refs produced by the shuffle writer.
-  std::map<std::pair<VertexId, int>, std::vector<ObjectRef>> shuffle_parts;
+  // (vertex) -> per-shard return refs, in the vertex's return layout.
+  std::map<VertexId, std::vector<std::vector<ObjectRef>>> returns;
 
   for (const PhysicalVertexPlan& plan : graph.vertices) {
     const int dop = plan.parallelism;
     std::vector<PhysicalEdgePlan> in_edges = graph.InEdges(plan.logical);
-
-    // Pre-run shuffle writers for incoming shuffle edges.
-    for (const PhysicalEdgePlan& edge : in_edges) {
-      if (edge.kind != EdgeKind::kShuffle) {
-        continue;
-      }
-      const std::vector<ObjectRef>& src_out = outputs.at(edge.src);
-      for (size_t s = 0; s < src_out.size(); ++s) {
-        auto key = std::make_pair(edge.src, static_cast<int>(s));
-        if (shuffle_parts.count(key) > 0) {
-          continue;  // another consumer already shuffled this shard
-        }
-        TaskSpec spec;
-        spec.function = edge.shuffle_function;
-        spec.args.push_back(TaskArg::Ref(src_out[s]));
-        spec.num_returns = dop;
-        spec.op_class = OpClass::kShuffleWrite;
-        SKADI_ASSIGN_OR_RETURN(std::vector<ObjectRef> parts,
-                               runtime_->Submit(std::move(spec)));
-        shuffle_parts[key] = std::move(parts);
-        ++result.tasks_submitted;
-        ++result.shuffle_tasks;
-      }
-    }
-
-    std::vector<ObjectRef> shard_outputs;
-    shard_outputs.reserve(static_cast<size_t>(dop));
+    std::vector<std::vector<ObjectRef>>& shard_returns = returns[plan.logical];
+    shard_returns.reserve(static_cast<size_t>(dop));
 
     for (int shard = 0; shard < dop; ++shard) {
       std::vector<uint32_t> group_sizes;
-      std::vector<TaskArg> buffer_args;
+      std::vector<ObjectRef> inputs;
 
       if (in_edges.empty()) {
         // Source vertex: bound inputs, distributed round-robin over shards.
@@ -73,86 +46,89 @@ Result<GraphRunResult> GraphExecutor::Run(
                 std::to_string(refs.size()) + " bound refs");
           }
           for (const ObjectRef& ref : refs) {
-            buffer_args.push_back(TaskArg::Ref(ref));
+            inputs.push_back(ref);
             group_sizes.push_back(1);
           }
         } else {
-          uint32_t count = 0;
           if (refs.size() == 1) {
-            buffer_args.push_back(TaskArg::Ref(refs[0]));
-            count = 1;
+            inputs.push_back(refs[0]);
           } else {
             for (size_t i = 0; i < refs.size(); ++i) {
               if (static_cast<int>(i % static_cast<size_t>(dop)) == shard) {
-                buffer_args.push_back(TaskArg::Ref(refs[i]));
-                ++count;
+                inputs.push_back(refs[i]);
               }
             }
           }
-          if (count == 0) {
+          if (inputs.empty()) {
             return Status::InvalidArgument("source vertex '" + plan.name + "' shard " +
                                            std::to_string(shard) + " received no input");
           }
-          group_sizes.push_back(count);
+          group_sizes.push_back(static_cast<uint32_t>(inputs.size()));
         }
       } else {
         for (const PhysicalEdgePlan& edge : in_edges) {
-          const std::vector<ObjectRef>& src_out = outputs.at(edge.src);
+          const std::vector<std::vector<ObjectRef>>& src = returns.at(edge.src);
+          const size_t at = static_cast<size_t>(edge.src_return);
           switch (edge.kind) {
             case EdgeKind::kForward: {
-              if (src_out.size() == 1) {
-                buffer_args.push_back(TaskArg::Ref(src_out[0]));
-                group_sizes.push_back(1);
-              } else if (static_cast<int>(src_out.size()) == dop) {
-                buffer_args.push_back(TaskArg::Ref(src_out[static_cast<size_t>(shard)]));
-                group_sizes.push_back(1);
+              if (src.size() == 1) {
+                inputs.push_back(src[0][at]);
+              } else if (static_cast<int>(src.size()) == dop) {
+                inputs.push_back(src[static_cast<size_t>(shard)][at]);
               } else {
                 return Status::InvalidArgument(
                     "forward edge parallelism mismatch into '" + plan.name + "': " +
-                    std::to_string(src_out.size()) + " vs " + std::to_string(dop));
+                    std::to_string(src.size()) + " vs " + std::to_string(dop));
               }
+              group_sizes.push_back(1);
               break;
             }
             case EdgeKind::kBroadcast: {
-              for (const ObjectRef& ref : src_out) {
-                buffer_args.push_back(TaskArg::Ref(ref));
+              for (const std::vector<ObjectRef>& src_shard : src) {
+                inputs.push_back(src_shard[at]);
               }
-              group_sizes.push_back(static_cast<uint32_t>(src_out.size()));
+              group_sizes.push_back(static_cast<uint32_t>(src.size()));
               break;
             }
             case EdgeKind::kShuffle: {
-              uint32_t count = 0;
-              for (size_t s = 0; s < src_out.size(); ++s) {
-                const auto& parts =
-                    shuffle_parts.at(std::make_pair(edge.src, static_cast<int>(s)));
-                buffer_args.push_back(TaskArg::Ref(parts[static_cast<size_t>(shard)]));
-                ++count;
+              // This shard's partition out of every producer shard's block.
+              for (const std::vector<ObjectRef>& src_shard : src) {
+                inputs.push_back(src_shard[at + static_cast<size_t>(shard)]);
               }
-              group_sizes.push_back(count);
+              group_sizes.push_back(static_cast<uint32_t>(src.size()));
               break;
             }
           }
         }
+      }
+
+      if (plan.pass_through && inputs.size() == 1) {
+        // An identity over one object is that object: forward the ref.
+        shard_returns.push_back({inputs[0]});
+        continue;
       }
 
       TaskSpec spec;
       spec.function = plan.task_function;
       spec.args.push_back(TaskArg::Value(MakeVertexArgHeader(group_sizes)));
-      for (TaskArg& arg : buffer_args) {
-        spec.args.push_back(std::move(arg));
+      for (const ObjectRef& ref : inputs) {
+        spec.args.push_back(TaskArg::Ref(ref));
       }
-      spec.num_returns = 1;
+      spec.num_returns = plan.returns.num_returns();
       spec.op_class = plan.op_class;
       spec.required_device = plan.backend;
       SKADI_ASSIGN_OR_RETURN(std::vector<ObjectRef> refs, runtime_->Submit(std::move(spec)));
-      shard_outputs.push_back(refs[0]);
+      shard_returns.push_back(std::move(refs));
       ++result.tasks_submitted;
     }
-    outputs[plan.logical] = std::move(shard_outputs);
   }
 
+  // A sink's layout is its value alone.
   for (VertexId sink : graph.Sinks()) {
-    result.sink_outputs[sink] = outputs.at(sink);
+    std::vector<ObjectRef>& refs = result.sink_outputs[sink];
+    for (const std::vector<ObjectRef>& shard : returns.at(sink)) {
+      refs.push_back(shard[0]);
+    }
   }
   return result;
 }

@@ -1,8 +1,11 @@
 // Physical-graph executor: launches one task per vertex shard on the
 // stateful serverless runtime, wiring shard inputs according to edge kinds
-// (forward / broadcast / shuffle with an inserted shuffle-write stage) and
-// passing everything by reference — the futures pipeline of Figure 2's
-// pseudo-code.
+// and passing everything by reference — the futures pipeline of Figure 2's
+// pseudo-code. Each task returns its vertex's return layout (value and/or
+// one block of hash partitions per shuffle edge), so a shuffle costs no task
+// of its own: consumer shard i reads partition i of each producer shard's
+// block for that edge. A pass-through vertex shard fed exactly one object
+// launches nothing and forwards that ref as its output.
 #ifndef SRC_GRAPH_EXECUTOR_H_
 #define SRC_GRAPH_EXECUTOR_H_
 
@@ -18,7 +21,6 @@ struct GraphRunResult {
   // Output refs of every sink vertex, per shard.
   std::map<VertexId, std::vector<ObjectRef>> sink_outputs;
   int64_t tasks_submitted = 0;
-  int64_t shuffle_tasks = 0;
 
   // Convenience: all sink refs flattened.
   std::vector<ObjectRef> AllSinkRefs() const;

@@ -226,37 +226,34 @@ Result<int> OptimizeFlowGraph(FlowGraph& graph) {
       auto merged_ir = std::make_shared<IrFunction>(std::move(composed).value());
       SKADI_RETURN_IF_ERROR(PassManager::StandardPipeline().Run(*merged_ir));
 
-      // Rebuild the graph: new merged vertex replaces src+dst.
+      // Rebuild the graph: a merged vertex replaces src+dst, and every other
+      // vertex is carried over whole under a fresh id.
       FlowGraph next;
       std::map<VertexId, VertexId> remap;
-      VertexId merged_id;
       for (const FlowVertex& v : graph.vertices()) {
-        if (v.id == src) {
-          merged_id = next.AddIrVertex(sv->name + "+" + dv->name, merged_ir,
-                                       sv->op_class != OpClass::kGeneric ? sv->op_class
-                                                                         : dv->op_class);
-          FlowVertex* created = next.vertex(merged_id);
-          created->parallelism_hint =
-              sv->parallelism_hint != 0 ? sv->parallelism_hint : dv->parallelism_hint;
-          created->backend_hint =
-              sv->backend_hint.has_value() ? sv->backend_hint : dv->backend_hint;
-          remap[src] = merged_id;
-          remap[dst] = merged_id;
-        } else if (v.id == dst) {
-          // skip: folded into merged vertex
-        } else {
-          FlowVertex copy = v;
-          VertexId nid;
-          if (copy.is_ir()) {
-            nid = next.AddIrVertex(copy.name, copy.ir, copy.op_class);
-          } else {
-            nid = next.AddBuiltinVertex(copy.name, copy.builtin, copy.op_class);
-          }
-          FlowVertex* created = next.vertex(nid);
-          created->parallelism_hint = copy.parallelism_hint;
-          created->backend_hint = copy.backend_hint;
-          remap[v.id] = nid;
+        if (v.id == dst) {
+          continue;  // folded into the merged vertex
         }
+        FlowVertex carried = v;
+        if (v.id == src) {
+          carried.name = sv->name + "+" + dv->name;
+          carried.ir = merged_ir;
+          carried.op_class = sv->op_class != OpClass::kGeneric ? sv->op_class : dv->op_class;
+          carried.parallelism_hint =
+              sv->parallelism_hint != 0 ? sv->parallelism_hint : dv->parallelism_hint;
+          carried.backend_hint =
+              sv->backend_hint.has_value() ? sv->backend_hint : dv->backend_hint;
+          carried.compute_threads_hint = sv->compute_threads_hint != 0
+                                             ? sv->compute_threads_hint
+                                             : dv->compute_threads_hint;
+        }
+        carried.id = carried.is_ir() ? next.AddIrVertex(carried.name, carried.ir)
+                                     : next.AddBuiltinVertex(carried.name, carried.builtin);
+        remap[v.id] = carried.id;
+        if (v.id == src) {
+          remap[dst] = carried.id;
+        }
+        *next.vertex(carried.id) = std::move(carried);
       }
       for (const FlowEdge& e : graph.edges()) {
         if (e.src == src && e.dst == dst) {

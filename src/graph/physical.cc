@@ -1,8 +1,10 @@
 #include "src/graph/physical.h"
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <sstream>
+#include <variant>
 
 #include "src/format/serde.h"
 #include "src/hw/cost_model.h"
@@ -100,7 +102,75 @@ Buffer EncodeIrValue(const IrRuntimeValue& value) {
   return b.Finish();
 }
 
+// The value one shard computed, in the form its wrapper holds it: IR
+// vertices have the interpreter's runtime value, builtins the encoded
+// buffer their function returned.
+using ShardValue = std::variant<IrRuntimeValue, Buffer>;
+
+// Builds one shard's return list in `layout` order. Each form of the value
+// is derived from the other only when the layout needs it: a shuffle-only
+// IR vertex never encodes its value, a value-only builtin never decodes it.
+Result<std::vector<Buffer>> LayoutReturns(const ReturnLayout& layout, const ShardValue& value,
+                                          int compute_threads) {
+  const IrRuntimeValue* decoded = std::get_if<IrRuntimeValue>(&value);
+  std::vector<Buffer> out;
+  out.reserve(static_cast<size_t>(layout.num_returns()));
+  if (layout.value) {
+    out.push_back(decoded != nullptr ? EncodeIrValue(*decoded) : std::get<Buffer>(value));
+  }
+  if (layout.shuffles.empty()) {
+    return out;
+  }
+  RecordBatch wire_batch;
+  const RecordBatch* batch = &wire_batch;
+  if (decoded != nullptr) {
+    batch = std::get_if<RecordBatch>(decoded);
+    if (batch == nullptr) {
+      return Status::InvalidArgument("only table values can be shuffled");
+    }
+  } else {
+    SKADI_ASSIGN_OR_RETURN(wire_batch, DeserializeBatchIpc(std::get<Buffer>(value)));
+  }
+  ComputeOptions copts;
+  copts.num_threads = compute_threads;
+  for (const ShuffleBlock& block : layout.shuffles) {
+    SKADI_ASSIGN_OR_RETURN(
+        std::vector<RecordBatch> parts,
+        HashPartitionBatch(*batch, block.keys, static_cast<uint32_t>(block.parts), copts));
+    for (const RecordBatch& part : parts) {
+      out.push_back(SerializeBatchIpc(part));
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+int ReturnLayout::num_returns() const {
+  int n = value ? 1 : 0;
+  for (const ShuffleBlock& block : shuffles) {
+    n += block.parts;
+  }
+  return n;
+}
+
+std::string ReturnLayout::ToString() const {
+  std::ostringstream os;
+  const char* sep = "";
+  if (value) {
+    os << "value";
+    sep = ", ";
+  }
+  for (const ShuffleBlock& block : shuffles) {
+    os << sep << "shuffle[";
+    for (size_t i = 0; i < block.keys.size(); ++i) {
+      os << (i > 0 ? "," : "") << block.keys[i];
+    }
+    os << "] " << block.parts << " parts";
+    sep = ", ";
+  }
+  return os.str();
+}
 
 const PhysicalVertexPlan* PhysicalGraph::plan(VertexId id) const {
   for (const PhysicalVertexPlan& v : vertices) {
@@ -156,7 +226,10 @@ std::string PhysicalGraph::ToString() const {
     if (v.backend.has_value()) {
       os << " on " << DeviceKindName(*v.backend);
     }
-    os << "\n";
+    if (v.pass_through) {
+      os << " pass-through";
+    }
+    os << " -> " << v.returns.ToString() << "\n";
   }
   for (const PhysicalEdgePlan& e : edges) {
     os << "  " << e.src << " -> " << e.dst << " [" << EdgeKindName(e.kind) << "]\n";
@@ -177,17 +250,51 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
 
   SKADI_ASSIGN_OR_RETURN(std::vector<VertexId> order, graph.TopoOrder());
   const uint64_t lowering_id = g_lowering_counter.fetch_add(1);
+  auto parallelism_of = [&](VertexId id) {
+    const int hint = graph.vertex(id)->parallelism_hint;
+    return hint > 0 ? hint : options.default_parallelism;
+  };
 
   PhysicalGraph physical;
+
+  // Return layouts first, since every task wrapper captures its vertex's.
+  // A vertex returns its value when something reads it whole (it is a sink
+  // or feeds a forward/broadcast edge); each shuffle edge appends a block.
+  std::map<VertexId, ReturnLayout> layouts;
+  for (VertexId vid : order) {
+    const std::vector<FlowEdge> out = graph.OutEdges(vid);
+    const bool read_whole = std::any_of(out.begin(), out.end(), [](const FlowEdge& e) {
+      return e.kind != EdgeKind::kShuffle;
+    });
+    layouts[vid].value = out.empty() || read_whole;
+  }
+  for (const FlowEdge& e : graph.edges()) {
+    PhysicalEdgePlan edge;
+    edge.src = e.src;
+    edge.dst = e.dst;
+    edge.kind = e.kind;
+    edge.keys = e.keys;
+    if (e.kind == EdgeKind::kShuffle) {
+      ReturnLayout& layout = layouts[e.src];
+      edge.src_return = layout.num_returns();
+      layout.shuffles.push_back(ShuffleBlock{e.keys, parallelism_of(e.dst)});
+    }
+    physical.edges.push_back(std::move(edge));
+  }
 
   for (VertexId vid : order) {
     const FlowVertex* vertex = graph.vertex(vid);
     PhysicalVertexPlan plan;
     plan.logical = vid;
     plan.name = vertex->name;
-    plan.parallelism =
-        vertex->parallelism_hint > 0 ? vertex->parallelism_hint : options.default_parallelism;
+    plan.parallelism = parallelism_of(vid);
     plan.op_class = vertex->op_class;
+    plan.returns = layouts[vid];
+    plan.task_function = "vtx." + std::to_string(lowering_id) + "." + vid.ToString();
+    const ReturnLayout layout = plan.returns;
+    // Vertex hint wins; otherwise the raylet's worker budget flows into the
+    // kernels' morsel parallelism.
+    const int threads_hint = vertex->compute_threads_hint;
 
     if (vertex->is_ir()) {
       std::shared_ptr<IrFunction> ir = vertex->ir;
@@ -195,6 +302,9 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
       if (options.run_ir_passes) {
         SKADI_RETURN_IF_ERROR(PassManager::StandardPipeline().Run(*ir));
       }
+      plan.pass_through = ir->ops().empty() && ir->params().size() == 1 &&
+                          ir->returns() == ir->params() && layout.shuffles.empty() &&
+                          !graph.OutEdges(vid).empty();
 
       // Backend: hint wins; otherwise cheapest candidate for the dominant
       // (first) op class of the function.
@@ -232,12 +342,10 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
         plan.backend = best;
       }
 
-      plan.task_function = "vtx." + std::to_string(lowering_id) + "." + vid.ToString();
-      const int threads_hint = vertex->compute_threads_hint;
       SKADI_RETURN_IF_ERROR(registry->Register(
           plan.task_function,
-          [ir, threads_hint](TaskContext& ctx,
-                             std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
+          [ir, threads_hint, layout](TaskContext& ctx, std::vector<Buffer>& args)
+              -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
             if (groups.size() != ir->params().size()) {
               return Status::InvalidArgument(
@@ -253,8 +361,6 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
               SKADI_ASSIGN_OR_RETURN(IrRuntimeValue value, DecodeIrValue(merged, type.kind));
               values.push_back(std::move(value));
             }
-            // Vertex hint wins; otherwise the raylet's worker budget flows
-            // into the kernels' morsel parallelism.
             IrEvalOptions eval_options;
             eval_options.compute.num_threads =
                 threads_hint > 0 ? threads_hint : ctx.compute_threads;
@@ -264,7 +370,8 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             if (outputs.empty()) {
               return Status::Internal("vertex '" + ir->name() + "' produced no outputs");
             }
-            return std::vector<Buffer>{EncodeIrValue(outputs[0])};
+            return LayoutReturns(layout, std::move(outputs[0]),
+                                 eval_options.compute.num_threads);
           }));
     } else {
       // Builtin vertex: delegate to the registered handcrafted op, after the
@@ -275,12 +382,11 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
                                 "' not registered");
       }
       plan.backend = vertex->backend_hint;
-      plan.task_function = "vtx." + std::to_string(lowering_id) + "." + vid.ToString();
       FunctionRegistry* reg = registry;
       SKADI_RETURN_IF_ERROR(registry->Register(
           plan.task_function,
-          [builtin, reg](TaskContext& ctx,
-                         std::vector<Buffer>& args) -> Result<std::vector<Buffer>> {
+          [builtin, reg, threads_hint, layout](TaskContext& ctx, std::vector<Buffer>& args)
+              -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
             std::vector<Buffer> merged;
             merged.reserve(groups.size());
@@ -289,48 +395,17 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
               merged.push_back(std::move(m));
             }
             SKADI_ASSIGN_OR_RETURN(TaskFunction fn, reg->Lookup(builtin));
-            return fn(ctx, merged);
+            SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> produced, fn(ctx, merged));
+            if (produced.size() != 1) {
+              return Status::Internal("builtin op '" + builtin + "' returned " +
+                                      std::to_string(produced.size()) +
+                                      " values, expected 1");
+            }
+            return LayoutReturns(layout, std::move(produced[0]),
+                                 threads_hint > 0 ? threads_hint : ctx.compute_threads);
           }));
     }
     physical.vertices.push_back(std::move(plan));
-  }
-
-  // Edges + shuffle writers.
-  int edge_index = 0;
-  for (const FlowEdge& e : graph.edges()) {
-    PhysicalEdgePlan edge;
-    edge.src = e.src;
-    edge.dst = e.dst;
-    edge.kind = e.kind;
-    edge.keys = e.keys;
-    if (e.kind == EdgeKind::kShuffle) {
-      const PhysicalVertexPlan* dst_plan = physical.plan(e.dst);
-      uint32_t dst_parallelism = static_cast<uint32_t>(dst_plan->parallelism);
-      std::vector<std::string> keys = e.keys;
-      edge.shuffle_function = "shufw." + std::to_string(lowering_id) + "." +
-                              std::to_string(edge_index);
-      SKADI_RETURN_IF_ERROR(registry->Register(
-          edge.shuffle_function,
-          [keys, dst_parallelism](TaskContext& ctx, std::vector<Buffer>& args)
-              -> Result<std::vector<Buffer>> {
-            if (args.size() != 1) {
-              return Status::InvalidArgument("shuffle writer takes one batch");
-            }
-            SKADI_ASSIGN_OR_RETURN(RecordBatch batch, DeserializeBatchIpc(args[0]));
-            ComputeOptions copts;
-            copts.num_threads = ctx.compute_threads;
-            SKADI_ASSIGN_OR_RETURN(
-                auto partitions, HashPartitionBatch(batch, keys, dst_parallelism, copts));
-            std::vector<Buffer> out;
-            out.reserve(partitions.size());
-            for (const RecordBatch& p : partitions) {
-              out.push_back(SerializeBatchIpc(p));
-            }
-            return out;
-          }));
-    }
-    physical.edges.push_back(std::move(edge));
-    ++edge_index;
   }
 
   return physical;

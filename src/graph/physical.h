@@ -2,9 +2,11 @@
 //
 // Lowering (1) picks a hardware backend for every vertex (cost model over
 // the vertex's op class, or the vertex's hint), (2) decides each vertex's
-// degree of parallelism (hint or default — the subscripts in Figure 2), and
-// (3) registers the executable task functions: one wrapper per vertex (IR
-// interpreter or builtin delegate) plus one shuffle-writer per keyed edge.
+// degree of parallelism (hint or default — the subscripts in Figure 2),
+// (3) fixes each vertex's return layout, which fuses the hash partitioning
+// of every outgoing shuffle edge into the producing task, and (4) registers
+// one executable task function per vertex (IR interpreter or builtin
+// delegate) that builds that layout.
 #ifndef SRC_GRAPH_PHYSICAL_H_
 #define SRC_GRAPH_PHYSICAL_H_
 
@@ -18,6 +20,24 @@
 
 namespace skadi {
 
+// One block of a return layout: the vertex's output hash-partitioned on
+// `keys` into one part per shard of a shuffle edge's destination.
+struct ShuffleBlock {
+  std::vector<std::string> keys;
+  int parts = 1;
+};
+
+// What every shard task of a vertex returns, in order: the vertex's own
+// value when `value` is set (it is a sink or feeds a forward/broadcast
+// edge), then one block per outgoing shuffle edge, in edge order.
+struct ReturnLayout {
+  bool value = true;
+  std::vector<ShuffleBlock> shuffles;
+
+  int num_returns() const;
+  std::string ToString() const;  // e.g. "value, shuffle[key] 2 parts"
+};
+
 struct PhysicalVertexPlan {
   VertexId logical;
   std::string name;
@@ -28,6 +48,11 @@ struct PhysicalVertexPlan {
   int num_inputs = 1;
   // Registered task function executing one shard of this vertex.
   std::string task_function;
+  ReturnLayout returns;
+  // Identity IR vertex (no ops, returns its only param) that is neither a
+  // sink nor a shuffle producer: a shard fed exactly one object forwards
+  // that ref as its output instead of launching a task.
+  bool pass_through = false;
 };
 
 struct PhysicalEdgePlan {
@@ -35,9 +60,10 @@ struct PhysicalEdgePlan {
   VertexId dst;
   EdgeKind kind = EdgeKind::kForward;
   std::vector<std::string> keys;
-  // For shuffle edges: registered shuffle-writer function (num_returns =
-  // dst parallelism).
-  std::string shuffle_function;
+  // Where this edge reads each src shard's return list: the value (0) for
+  // forward/broadcast edges; for shuffle edges, the first of the edge's
+  // block of dst-parallelism partitions (dst shard i reads src_return + i).
+  int src_return = 0;
 };
 
 struct PhysicalGraph {
@@ -64,9 +90,9 @@ struct LoweringOptions {
   bool run_ir_passes = true;
 };
 
-// Lowers the (validated) logical graph; registers vertex + shuffle task
-// functions into `registry`. The graph's IR functions are shared (not
-// copied), so pass effects persist.
+// Lowers the (validated) logical graph; registers one task function per
+// vertex into `registry`. The graph's IR functions are shared (not copied),
+// so pass effects persist.
 Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOptions& options,
                                       FunctionRegistry* registry);
 

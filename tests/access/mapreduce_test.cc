@@ -123,7 +123,13 @@ TEST_F(MapReduceExecTest, WordCountEndToEnd) {
 
   // Each word was reduced in exactly one partition (shuffle correctness):
   // the per-word totals above already prove it since no word was split.
-  EXPECT_GT(run->shuffle_tasks, 0);
+  // The map tasks partition their own output, one part per reduce shard.
+  const ReturnLayout& map_returns = physical->plan(mr->map_vertex)->returns;
+  EXPECT_FALSE(map_returns.value);
+  ASSERT_EQ(map_returns.shuffles.size(), 1u);
+  EXPECT_EQ(map_returns.shuffles[0].keys, std::vector<std::string>{"word"});
+  EXPECT_EQ(map_returns.num_returns(), 2);
+  EXPECT_EQ(run->tasks_submitted, 4);
 }
 
 }  // namespace

@@ -382,8 +382,113 @@ TEST_F(SkadiTest, ExplainShowsAllThreeTiers) {
   EXPECT_NE(text->find("shuffle"), std::string::npos);   // keyed edge survives
   EXPECT_NE(text->find("rel.aggregate"), std::string::npos);  // vertex IR shown
   EXPECT_NE(text->find(" x2"), std::string::npos);       // parallelism subscript
+  // Each vertex's return layout: the partial aggregate partitions its own
+  // output for the final one, which returns its value to the gather.
+  EXPECT_NE(text->find("'partial_agg' x2 on cpu -> shuffle[region] 2 parts\n"),
+            std::string::npos)
+      << *text;
+  EXPECT_NE(text->find("'final_agg' x2 on cpu -> value\n"), std::string::npos) << *text;
+
+  // A join's identity scans are forwarded by reference.
+  Schema dim_schema({{"name", DataType::kString}, {"zone", DataType::kInt64}});
+  auto dims = RecordBatch::Make(
+      dim_schema, {Column::MakeString({"east", "west"}), Column::MakeInt64({1, 2})});
+  ASSERT_TRUE(skadi_->RegisterTable("dims", *dims, 1).ok());
+  auto join = skadi_->Explain(
+      "SELECT zone, SUM(amount) AS s FROM sales JOIN dims ON region = name GROUP BY zone");
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_NE(join->find("'scan:sales' x2 on cpu pass-through -> value\n"), std::string::npos)
+      << *join;
+  EXPECT_NE(join->find("'scan:dims' x1 on cpu pass-through -> value\n"), std::string::npos)
+      << *join;
   // Explain must not execute anything.
   EXPECT_EQ(skadi_->GetStats().tasks_submitted, 0);
+}
+
+// Exact task counts at DOP 2 with one table partition per shard: each
+// shuffle is written by the task that produced the data, and the join's
+// identity scans launch nothing.
+TEST_F(SkadiTest, SqlTaskCountsAtDop2) {
+  Start();
+  RecordBatch sales = SalesBatch(300);
+  ASSERT_TRUE(skadi_->RegisterTable("sales", sales).ok());
+  ASSERT_EQ(skadi_->TablePartitions("sales").size(), 2u);
+  Schema dim_schema({{"name", DataType::kString}, {"zone", DataType::kInt64}});
+  auto dims = RecordBatch::Make(
+      dim_schema, {Column::MakeString({"east", "west", "north", "south"}),
+                   Column::MakeInt64({1, 2, 1, 2})});
+  ASSERT_TRUE(skadi_->RegisterTable("dims", *dims, 1).ok());
+
+  // GROUP BY: 2 partial + 2 final.
+  int64_t before = skadi_->GetStats().tasks_submitted;
+  auto grouped = skadi_->Sql("SELECT region, COUNT(*) AS n FROM sales GROUP BY region");
+  ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
+  EXPECT_EQ(skadi_->GetStats().tasks_submitted - before, 4);
+  auto reference = GroupAggregateBatch(sales, {"region"}, {{AggKind::kCount, "*", "n"}});
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(grouped->num_rows(), reference->num_rows());
+
+  // JOIN + GROUP BY: both scans forwarded, 2 partial + 2 final.
+  before = skadi_->GetStats().tasks_submitted;
+  auto joined = skadi_->Sql(
+      "SELECT zone, SUM(amount) AS s FROM sales JOIN dims ON region = name GROUP BY zone");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_EQ(skadi_->GetStats().tasks_submitted - before, 4);
+  auto total = GroupAggregateBatch(sales, {}, {{AggKind::kSum, "amount", "s"}});
+  ASSERT_TRUE(total.ok());
+  int64_t joined_total = 0;
+  for (int64_t i = 0; i < joined->num_rows(); ++i) {
+    joined_total += joined->ColumnByName("s")->Int64At(i);
+  }
+  EXPECT_EQ(joined_total, total->ColumnByName("s")->Int64At(0));
+}
+
+TEST_F(SkadiTest, JoinWithMorePartitionsThanShardsRunsScanAndMatchesReference) {
+  Start();
+  RecordBatch sales = SalesBatch(400, 13);
+  ASSERT_TRUE(skadi_->RegisterTable("sales", sales, 4).ok());
+  Schema dim_schema({{"name", DataType::kString}, {"zone", DataType::kInt64}});
+  auto dims = RecordBatch::Make(
+      dim_schema, {Column::MakeString({"east", "west", "north"}), Column::MakeInt64({1, 2, 3})});
+  ASSERT_TRUE(skadi_->RegisterTable("dims", *dims, 1).ok());
+
+  int64_t before = skadi_->GetStats().tasks_submitted;
+  auto result = skadi_->Sql(
+      "SELECT zone, COUNT(*) AS n, SUM(amount) AS s FROM sales JOIN dims ON region = name "
+      "GROUP BY zone ORDER BY zone");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // Each fact-scan shard concatenates two partitions, so it runs: 2 scan +
+  // 2 partial + 2 final + 1 gather; the one-partition dim scan forwards.
+  EXPECT_EQ(skadi_->GetStats().tasks_submitted - before, 7);
+
+  auto joined = HashJoinBatch(sales, *dims, {"region"}, {"name"});
+  ASSERT_TRUE(joined.ok());
+  auto reference = GroupAggregateBatch(
+      *joined, {"zone"}, {{AggKind::kCount, "*", "n"}, {AggKind::kSum, "amount", "s"}});
+  ASSERT_TRUE(reference.ok());
+  auto sorted_ref = SortBatch(*reference, {{"zone", true}});
+  ASSERT_TRUE(sorted_ref.ok());
+  ASSERT_EQ(result->num_rows(), sorted_ref->num_rows());
+  for (int64_t i = 0; i < result->num_rows(); ++i) {
+    EXPECT_EQ(result->ColumnByName("zone")->Int64At(i),
+              sorted_ref->ColumnByName("zone")->Int64At(i));
+    EXPECT_EQ(result->ColumnByName("n")->Int64At(i), sorted_ref->ColumnByName("n")->Int64At(i));
+    EXPECT_EQ(result->ColumnByName("s")->Int64At(i), sorted_ref->ColumnByName("s")->Int64At(i));
+  }
+}
+
+TEST_F(SkadiTest, SelectStarStillLaunchesItsScanTasks) {
+  // `SELECT * FROM t` lowers to one identity vertex that is also the sink:
+  // it runs, so its output refs are new objects, never the table's own
+  // partitions.
+  Start();
+  RecordBatch sales = SalesBatch(120);
+  ASSERT_TRUE(skadi_->RegisterTable("sales", sales).ok());
+  int64_t before = skadi_->GetStats().tasks_submitted;
+  auto result = skadi_->Sql("SELECT * FROM sales");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(skadi_->GetStats().tasks_submitted - before, 2);
+  EXPECT_EQ(result->num_rows(), 120);
 }
 
 TEST_F(SkadiTest, AdaptiveParallelismSizesFromData) {

@@ -24,12 +24,14 @@ class GraphExecTest : public ::testing::Test {
   RecordBatch NumbersBatch(int64_t from, int64_t to) {
     ColumnBuilder xs(DataType::kInt64);
     ColumnBuilder gs(DataType::kInt64);
+    ColumnBuilder hs(DataType::kInt64);
     for (int64_t i = from; i < to; ++i) {
       xs.AppendInt64(i);
       gs.AppendInt64(i % 5);
+      hs.AppendInt64(i % 7);
     }
-    Schema schema({{"x", DataType::kInt64}, {"g", DataType::kInt64}});
-    auto batch = RecordBatch::Make(schema, {xs.Finish(), gs.Finish()});
+    Schema schema({{"x", DataType::kInt64}, {"g", DataType::kInt64}, {"h", DataType::kInt64}});
+    auto batch = RecordBatch::Make(schema, {xs.Finish(), gs.Finish(), hs.Finish()});
     return std::move(batch).value();
   }
 
@@ -53,12 +55,47 @@ class GraphExecTest : public ::testing::Test {
     return fn;
   }
 
-  std::shared_ptr<IrFunction> SumByG() {
-    auto fn = std::make_shared<IrFunction>("agg");
+  std::shared_ptr<IrFunction> SumByG() { return SumBy("g"); }
+
+  std::shared_ptr<IrFunction> SumBy(const std::string& key) {
+    auto fn = std::make_shared<IrFunction>("agg_" + key);
     ValueId t = fn->AddParam(IrType::Table());
-    ValueId a = EmitAggregate(*fn, t, {"g"}, {{AggKind::kSum, "x", "sum_x"}});
+    ValueId a = EmitAggregate(*fn, t, {key}, {{AggKind::kSum, "x", "sum_x"}});
     fn->SetReturns({a});
     return fn;
+  }
+
+  std::shared_ptr<IrFunction> IdentityFn() {
+    auto fn = std::make_shared<IrFunction>("id");
+    ValueId t = fn->AddParam(IrType::Table());
+    fn->SetReturns({t});
+    return fn;
+  }
+
+  // Concatenates a sharded SUM(x) GROUP BY `key` and compares it with the
+  // single-node kernel over `input`: every group exactly once, same sums.
+  void ExpectSumByMatchesReference(const std::vector<ObjectRef>& shards,
+                                   const RecordBatch& input, const std::string& key) {
+    std::vector<RecordBatch> pieces;
+    for (const ObjectRef& ref : shards) {
+      auto batch = GetBatch(ref);
+      ASSERT_TRUE(batch.ok());
+      pieces.push_back(std::move(batch).value());
+    }
+    auto merged = ConcatBatches(pieces);
+    ASSERT_TRUE(merged.ok());
+    auto reference = GroupAggregateBatch(input, {key}, {{AggKind::kSum, "x", "sum_x"}});
+    ASSERT_TRUE(reference.ok());
+    ASSERT_EQ(merged->num_rows(), reference->num_rows()) << "grouped on " << key;
+    auto sorted_merged = SortBatch(*merged, {{key, true}});
+    auto sorted_ref = SortBatch(*reference, {{key, true}});
+    ASSERT_TRUE(sorted_merged.ok() && sorted_ref.ok());
+    for (int64_t i = 0; i < sorted_ref->num_rows(); ++i) {
+      EXPECT_EQ(sorted_merged->ColumnByName(key)->Int64At(i),
+                sorted_ref->ColumnByName(key)->Int64At(i));
+      EXPECT_EQ(sorted_merged->ColumnByName("sum_x")->Int64At(i),
+                sorted_ref->ColumnByName("sum_x")->Int64At(i));
+    }
   }
 
   std::unique_ptr<Cluster> cluster_;
@@ -128,28 +165,128 @@ TEST_F(GraphExecTest, ShuffleGroupByMatchesSingleNodeResult) {
   auto result = executor.RunToCompletion(
       *physical, {{f, {PutBatch(input.Slice(0, 100)), PutBatch(input.Slice(100, 100))}}});
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->shuffle_tasks, 0);
+  // The filter shards partition their own output: no writer tasks.
+  EXPECT_FALSE(physical->plan(f)->returns.value);
+  EXPECT_EQ(physical->plan(f)->returns.num_returns(), 2);
+  EXPECT_EQ(result->tasks_submitted, 4);
 
-  // Merge the sharded aggregate outputs and compare with the single-node
-  // reference aggregation.
-  std::vector<RecordBatch> pieces;
-  for (const ObjectRef& ref : result->sink_outputs.at(a)) {
+  ExpectSumByMatchesReference(result->sink_outputs.at(a), input, "g");
+}
+
+TEST_F(GraphExecTest, OneProducerFeedsTwoShuffleConsumersOnTheirOwnKeys) {
+  // filter x2 -> shuffle(g) -> agg_g x3, and -> shuffle(h) -> agg_h x2: each
+  // consumer must read partitions hashed on its own keys into its own DOP.
+  FlowGraph g;
+  VertexId f = g.AddIrVertex("filter", FilterGt(-1), OpClass::kFilter);
+  VertexId by_h = g.AddIrVertex("agg_h", SumBy("h"), OpClass::kAggregate);
+  VertexId by_g = g.AddIrVertex("agg_g", SumBy("g"), OpClass::kAggregate);
+  g.vertex(f)->parallelism_hint = 2;
+  g.vertex(by_h)->parallelism_hint = 2;
+  g.vertex(by_g)->parallelism_hint = 3;
+  ASSERT_TRUE(g.AddEdge(f, by_h, EdgeKind::kShuffle, {"h"}).ok());
+  ASSERT_TRUE(g.AddEdge(f, by_g, EdgeKind::kShuffle, {"g"}).ok());
+
+  auto physical = LowerToPhysical(g, {}, &registry_);
+  ASSERT_TRUE(physical.ok());
+
+  RecordBatch input = NumbersBatch(0, 300);
+  GraphExecutor executor(runtime_.get());
+  auto result = executor.RunToCompletion(
+      *physical, {{f, {PutBatch(input.Slice(0, 150)), PutBatch(input.Slice(150, 150))}}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tasks_submitted, 2 + 2 + 3);
+
+  ExpectSumByMatchesReference(result->sink_outputs.at(by_g), input, "g");
+  ExpectSumByMatchesReference(result->sink_outputs.at(by_h), input, "h");
+}
+
+TEST_F(GraphExecTest, IdentityShardFedOneObjectForwardsItsRef) {
+  // scan (identity) x2 -> forward -> filter x2: one partition per scan
+  // shard, so only the filter shards run.
+  FlowGraph g;
+  VertexId scan = g.AddIrVertex("scan", IdentityFn(), OpClass::kScan);
+  VertexId f = g.AddIrVertex("filter", FilterGt(9), OpClass::kFilter);
+  g.vertex(scan)->parallelism_hint = 2;
+  g.vertex(f)->parallelism_hint = 2;
+  ASSERT_TRUE(g.AddEdge(scan, f).ok());
+  auto physical = LowerToPhysical(g, {}, &registry_);
+  ASSERT_TRUE(physical.ok());
+  EXPECT_TRUE(physical->plan(scan)->pass_through);
+
+  GraphExecutor executor(runtime_.get());
+  auto result = executor.RunToCompletion(
+      *physical, {{scan, {PutBatch(NumbersBatch(0, 20)), PutBatch(NumbersBatch(20, 40))}}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tasks_submitted, 2);
+  int64_t rows = 0;
+  for (const ObjectRef& ref : result->sink_outputs.at(f)) {
     auto batch = GetBatch(ref);
     ASSERT_TRUE(batch.ok());
-    pieces.push_back(std::move(batch).value());
+    rows += batch->num_rows();
   }
-  auto merged = ConcatBatches(pieces);
-  ASSERT_TRUE(merged.ok());
-  auto reference = GroupAggregateBatch(input, {"g"}, {{AggKind::kSum, "x", "sum_x"}});
-  ASSERT_TRUE(reference.ok());
-  EXPECT_EQ(merged->num_rows(), reference->num_rows());
+  EXPECT_EQ(rows, 30);  // 10..39
+}
 
-  auto sorted_merged = SortBatch(*merged, {{"g", true}});
-  auto sorted_ref = SortBatch(*reference, {{"g", true}});
-  for (int64_t i = 0; i < sorted_ref->num_rows(); ++i) {
-    EXPECT_EQ(sorted_merged->ColumnByName("sum_x")->Int64At(i),
-              sorted_ref->ColumnByName("sum_x")->Int64At(i));
+TEST_F(GraphExecTest, IdentitySinkStillRunsAndNeverReturnsItsInput) {
+  FlowGraph g;
+  VertexId scan = g.AddIrVertex("scan", IdentityFn(), OpClass::kScan);
+  g.vertex(scan)->parallelism_hint = 1;
+  auto physical = LowerToPhysical(g, {}, &registry_);
+  ASSERT_TRUE(physical.ok());
+  EXPECT_FALSE(physical->plan(scan)->pass_through);
+
+  ObjectRef input = PutBatch(NumbersBatch(0, 10));
+  GraphExecutor executor(runtime_.get());
+  auto result = executor.RunToCompletion(*physical, {{scan, {input}}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tasks_submitted, 1);
+  ASSERT_EQ(result->sink_outputs.at(scan).size(), 1u);
+  EXPECT_NE(result->sink_outputs.at(scan)[0].id, input.id);
+  auto batch = GetBatch(result->sink_outputs.at(scan)[0]);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->num_rows(), 10);
+}
+
+TEST_F(GraphExecTest, LostPartitionOfFusedTaskIsRebuiltByLineage) {
+  // A fused producer is an ordinary multi-return task: losing the node that
+  // holds its partitions re-executes it from lineage.
+  FlowGraph g;
+  VertexId f = g.AddIrVertex("filter", FilterGt(-1), OpClass::kFilter);
+  VertexId a = g.AddIrVertex("agg", SumByG(), OpClass::kAggregate);
+  g.vertex(f)->parallelism_hint = 1;
+  g.vertex(a)->parallelism_hint = 2;
+  ASSERT_TRUE(g.AddEdge(f, a, EdgeKind::kShuffle, {"g"}).ok());
+  auto physical = LowerToPhysical(g, {}, &registry_);
+  ASSERT_TRUE(physical.ok());
+  const PhysicalVertexPlan& producer = *physical->plan(f);
+
+  NodeId victim;
+  for (NodeId n : cluster_->ComputeNodes()) {
+    if (n != cluster_->head()) {
+      victim = n;
+      break;
+    }
   }
+  RecordBatch input = NumbersBatch(0, 100);
+  TaskSpec spec;
+  spec.function = producer.task_function;
+  spec.args.push_back(TaskArg::Value(MakeVertexArgHeader({1})));
+  spec.args.push_back(TaskArg::Ref(PutBatch(input)));
+  spec.num_returns = producer.returns.num_returns();
+  spec.pinned_node = victim;
+  auto parts = runtime_->Submit(std::move(spec));
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  ASSERT_EQ(parts->size(), 2u);
+  ASSERT_TRUE(runtime_->Wait(*parts, 10000).ok());
+  ASSERT_EQ(cluster_->cache().Locations((*parts)[1].id), std::vector<NodeId>{victim});
+  ASSERT_TRUE(runtime_->KillNode(victim).ok());
+
+  auto rebuilt = GetBatch((*parts)[1]);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  auto expected = HashPartitionBatch(input, {"g"}, 2);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(rebuilt->num_rows(), (*expected)[1].num_rows());
+  EXPECT_GE(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 1);
 }
 
 TEST_F(GraphExecTest, BroadcastFansInAllShards) {

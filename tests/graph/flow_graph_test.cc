@@ -157,5 +157,34 @@ TEST(OptimizeFlowGraphTest, PreservesSurroundingEdges) {
   EXPECT_EQ(g.edges()[0].kind, EdgeKind::kShuffle);
 }
 
+TEST(OptimizeFlowGraphTest, MergedAndUntouchedVerticesKeepTheirHints) {
+  FlowGraph g;
+  VertexId a = g.AddIrVertex("f1", FilterFn(0));
+  VertexId b = g.AddIrVertex("f2", FilterFn(1));
+  VertexId c = g.AddIrVertex("agg", FilterFn(2), OpClass::kAggregate);
+  g.vertex(a)->compute_threads_hint = 3;
+  g.vertex(b)->compute_threads_hint = 3;
+  g.vertex(b)->parallelism_hint = 4;
+  g.vertex(c)->compute_threads_hint = 5;
+  g.vertex(c)->parallelism_hint = 2;
+  g.vertex(c)->backend_hint = DeviceKind::kGpu;
+  ASSERT_TRUE(g.AddEdge(a, b).ok());
+  ASSERT_TRUE(g.AddEdge(b, c, EdgeKind::kShuffle, {"x"}).ok());
+  auto merged = OptimizeFlowGraph(g);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, 1);
+  ASSERT_EQ(g.vertices().size(), 2u);
+  const FlowVertex& fused = g.vertices()[0];
+  const FlowVertex& untouched = g.vertices()[1];
+  EXPECT_EQ(fused.name, "f1+f2");
+  EXPECT_EQ(fused.compute_threads_hint, 3);
+  EXPECT_EQ(fused.parallelism_hint, 4);
+  EXPECT_EQ(untouched.name, "agg");
+  EXPECT_EQ(untouched.compute_threads_hint, 5);
+  EXPECT_EQ(untouched.parallelism_hint, 2);
+  EXPECT_EQ(untouched.backend_hint, DeviceKind::kGpu);
+  EXPECT_EQ(untouched.op_class, OpClass::kAggregate);
+}
+
 }  // namespace
 }  // namespace skadi

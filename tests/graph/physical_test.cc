@@ -65,20 +65,31 @@ TEST(PhysicalLoweringTest, VertexFunctionsRegistered) {
   EXPECT_TRUE(registry.Contains(physical->plan(v)->task_function));
 }
 
-TEST(PhysicalLoweringTest, ShuffleEdgeRegistersWriter) {
+TEST(PhysicalLoweringTest, ShuffleEdgeAddsReturnBlock) {
   FlowGraph g;
   VertexId a = g.AddIrVertex("a", Identity());
   VertexId b = g.AddIrVertex("b", Identity());
+  g.vertex(b)->parallelism_hint = 3;
   ASSERT_TRUE(g.AddEdge(a, b, EdgeKind::kShuffle, {"k"}).ok());
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
+  // The producer returns only its partitions, one per consumer shard; no
+  // task function beyond the two vertices' own is registered.
+  const ReturnLayout& layout = physical->plan(a)->returns;
+  EXPECT_FALSE(layout.value);
+  ASSERT_EQ(layout.shuffles.size(), 1u);
+  EXPECT_EQ(layout.shuffles[0].keys, std::vector<std::string>{"k"});
+  EXPECT_EQ(layout.shuffles[0].parts, 3);
+  EXPECT_EQ(layout.num_returns(), 3);
   ASSERT_EQ(physical->edges.size(), 1u);
-  EXPECT_FALSE(physical->edges[0].shuffle_function.empty());
-  EXPECT_TRUE(registry.Contains(physical->edges[0].shuffle_function));
+  EXPECT_EQ(physical->edges[0].src_return, 0);
+  // The sink returns its value alone.
+  EXPECT_TRUE(physical->plan(b)->returns.value);
+  EXPECT_EQ(physical->plan(b)->returns.num_returns(), 1);
 }
 
-TEST(PhysicalLoweringTest, ForwardEdgeHasNoWriter) {
+TEST(PhysicalLoweringTest, ForwardEdgeReadsProducerValue) {
   FlowGraph g;
   VertexId a = g.AddIrVertex("a", Identity());
   VertexId b = g.AddIrVertex("b", Identity());
@@ -86,7 +97,51 @@ TEST(PhysicalLoweringTest, ForwardEdgeHasNoWriter) {
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
-  EXPECT_TRUE(physical->edges[0].shuffle_function.empty());
+  EXPECT_TRUE(physical->plan(a)->returns.value);
+  EXPECT_TRUE(physical->plan(a)->returns.shuffles.empty());
+  EXPECT_EQ(physical->edges[0].src_return, 0);
+}
+
+TEST(PhysicalLoweringTest, ReturnLayoutIsValueThenOneBlockPerShuffleEdgeInEdgeOrder) {
+  FlowGraph g;
+  VertexId a = g.AddIrVertex("a", Identity());
+  VertexId by_k = g.AddIrVertex("by_k", Identity());
+  VertexId whole = g.AddIrVertex("whole", Identity());
+  VertexId by_j = g.AddIrVertex("by_j", Identity());
+  g.vertex(by_k)->parallelism_hint = 3;
+  g.vertex(by_j)->parallelism_hint = 2;
+  ASSERT_TRUE(g.AddEdge(a, by_k, EdgeKind::kShuffle, {"k"}).ok());
+  ASSERT_TRUE(g.AddEdge(a, whole, EdgeKind::kBroadcast).ok());
+  ASSERT_TRUE(g.AddEdge(a, by_j, EdgeKind::kShuffle, {"j", "k"}).ok());
+  FunctionRegistry registry;
+  auto physical = LowerToPhysical(g, {}, &registry);
+  ASSERT_TRUE(physical.ok());
+  const ReturnLayout& layout = physical->plan(a)->returns;
+  EXPECT_TRUE(layout.value);
+  EXPECT_EQ(layout.num_returns(), 1 + 3 + 2);
+  EXPECT_EQ(layout.ToString(), "value, shuffle[k] 3 parts, shuffle[j,k] 2 parts");
+  ASSERT_EQ(physical->edges.size(), 3u);
+  EXPECT_EQ(physical->edges[0].src_return, 1);  // by_k: after the value
+  EXPECT_EQ(physical->edges[1].src_return, 0);  // whole: the value
+  EXPECT_EQ(physical->edges[2].src_return, 4);  // by_j: after by_k's 3 parts
+}
+
+TEST(PhysicalLoweringTest, OnlyNonSinkNonShufflingIdentityPassesThrough) {
+  FlowGraph g;
+  VertexId scan = g.AddIrVertex("scan", Identity());
+  VertexId shuffler = g.AddIrVertex("shuffler", Identity());
+  VertexId join = g.AddIrVertex("join", TwoInput());
+  VertexId sink = g.AddIrVertex("sink", Identity());
+  ASSERT_TRUE(g.AddEdge(scan, join, EdgeKind::kForward).ok());
+  ASSERT_TRUE(g.AddEdge(shuffler, join, EdgeKind::kShuffle, {"k"}).ok());
+  ASSERT_TRUE(g.AddEdge(join, sink, EdgeKind::kForward).ok());
+  FunctionRegistry registry;
+  auto physical = LowerToPhysical(g, {}, &registry);
+  ASSERT_TRUE(physical.ok());
+  EXPECT_TRUE(physical->plan(scan)->pass_through);
+  EXPECT_FALSE(physical->plan(shuffler)->pass_through);  // shuffle producer
+  EXPECT_FALSE(physical->plan(join)->pass_through);      // has ops
+  EXPECT_FALSE(physical->plan(sink)->pass_through);      // sink
 }
 
 TEST(PhysicalLoweringTest, MissingBuiltinRejected) {
@@ -123,14 +178,24 @@ TEST(PhysicalLoweringTest, SourcesAndSinksComputed) {
 
 TEST(PhysicalLoweringTest, ToStringShowsShardCounts) {
   FlowGraph g;
+  VertexId scan = g.AddIrVertex("scanA", Identity());
   VertexId v = g.AddIrVertex("vertexD", Identity());
+  VertexId agg = g.AddIrVertex("aggE", Identity());
   g.vertex(v)->parallelism_hint = 7;
+  g.vertex(scan)->parallelism_hint = 7;
+  g.vertex(agg)->parallelism_hint = 2;
+  ASSERT_TRUE(g.AddEdge(scan, v).ok());
+  ASSERT_TRUE(g.AddEdge(v, agg, EdgeKind::kShuffle, {"k"}).ok());
   FunctionRegistry registry;
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
   std::string s = physical->ToString();
   EXPECT_NE(s.find("vertexD"), std::string::npos);
   EXPECT_NE(s.find("x7"), std::string::npos);
+  // Return layouts, and the forwarded identity marked.
+  EXPECT_NE(s.find("'scanA' x7 on cpu pass-through -> value\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("'vertexD' x7 on cpu -> shuffle[k] 2 parts\n"), std::string::npos) << s;
+  EXPECT_NE(s.find("'aggE' x2 on cpu -> value\n"), std::string::npos) << s;
 }
 
 TEST(PhysicalLoweringTest, ArgHeaderRoundTrip) {

@@ -8,11 +8,13 @@
 //                              it in tools/check.sh; CI uploads it)
 //   trace_plane.metrics.json — MetricsRegistry dump
 // and on ANY assertion failure dumps both (suffixed .fail) for triage.
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,6 +71,7 @@ TEST_F(TracePlaneTest, CrossNodeSubmitRunGetIsOneConnectedSpanTree) {
   // One driver-side root brackets the whole flow, exactly as an application
   // would trace a job: Submit and Get both parent under it, so the chain
   // has a single root to hang from.
+  constexpr int kTasks = 4;
   uint64_t driver_trace = 0;
   {
     trace::TraceSpan driver("test.driver.job");
@@ -78,7 +81,7 @@ TEST_F(TracePlaneTest, CrossNodeSubmitRunGetIsOneConnectedSpanTree) {
     // A dependency chain forces scheduling, argument resolution through the
     // ownership/caching layers, and fabric transfers between nodes.
     ObjectRef current;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < kTasks; ++i) {
       TaskSpec spec = Call("inc_i64", {i == 0 ? TaskArg::Value(I64Buffer(100))
                                               : TaskArg::Ref(current)});
       auto refs = runtime_->Submit(std::move(spec));
@@ -90,7 +93,26 @@ TEST_F(TracePlaneTest, CrossNodeSubmitRunGetIsOneConnectedSpanTree) {
     EXPECT_EQ(I64Of(*result), 104);
   }
 
-  std::vector<trace::TraceEvent> all = trace::Snapshot();
+  // Get returns once CompleteTask marks the last output ready, which can be
+  // before that task's raylet.run_task span closes, and a span is recorded
+  // only when it closes. Wait (bounded) until every task's run_task span is
+  // in, so no recorded child is left without its parent.
+  std::vector<trace::TraceEvent> all;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (true) {
+    all = trace::Snapshot();
+    int run_task_spans = 0;
+    for (const trace::TraceEvent& e : all) {
+      if (e.trace_id == driver_trace && e.phase == 0 &&
+          Named(e, names::kSpanRayletRunTask)) {
+        ++run_task_spans;
+      }
+    }
+    if (run_task_spans >= kTasks || std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // Restrict to the driver's trace and index its spans.
   std::map<uint64_t, trace::TraceEvent> spans;  // span_id -> event

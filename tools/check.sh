@@ -74,4 +74,10 @@ echo "==> [address] fuzz_serde 30s smoke"
 "build-asan/bench/fuzz/fuzz_make_corpus" build-asan/bench/fuzz/corpus
 "build-asan/bench/fuzz/fuzz_serde" -max_total_time=30 build-asan/bench/fuzz/corpus
 
+# End-to-end benchmark self-test: every perfbench workload at tiny size,
+# traced and untraced, every operation checked against the format kernels.
+# A lowering or executor change that breaks an end-to-end query fails here.
+echo "==> [perfbench] selftest"
+python3 perfbench/selftest.py
+
 echo "==> all modes passed"
