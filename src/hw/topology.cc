@@ -49,7 +49,7 @@ LinkParams DefaultLinkParams(LinkClass link_class) {
 }
 
 Topology::Topology() {
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kNumLinkClasses; ++i) {
     params_[i] = DefaultLinkParams(static_cast<LinkClass>(i));
   }
 }

@@ -46,6 +46,7 @@ enum class LinkClass {
   kInterRack,  // through the spine
   kDurable,    // to/from cloud durable storage
 };
+inline constexpr int kNumLinkClasses = static_cast<int>(LinkClass::kDurable) + 1;
 
 std::string_view LinkClassName(LinkClass link_class);
 
@@ -84,7 +85,7 @@ class Topology {
  private:
   mutable Mutex mu_;
   std::unordered_map<NodeId, NodeInfo> nodes_ GUARDED_BY(mu_);
-  LinkParams params_[5] GUARDED_BY(mu_);
+  LinkParams params_[kNumLinkClasses] GUARDED_BY(mu_);
 };
 
 // Default link parameters, order-of-magnitude realistic for a 2023 data

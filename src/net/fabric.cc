@@ -1,12 +1,24 @@
 #include "src/net/fabric.h"
 
+#include <string>
+#include <utility>
+
 #include "src/common/metric_names.h"
 #include "src/common/trace.h"
 
 namespace skadi {
 
 Fabric::Fabric(std::shared_ptr<Topology> topology)
-    : topology_(std::move(topology)), reactor_("fabric-reactor") {
+    : topology_(std::move(topology)),
+      reactor_("fabric-reactor"),
+      control_messages_(&metrics_.GetCounter(names::kFabricControlMessages)),
+      data_transfers_(&metrics_.GetCounter(names::kFabricDataTransfers)),
+      data_bytes_(&metrics_.GetCounter(names::kFabricDataBytes)) {
+  for (int i = 0; i < kNumLinkClasses; ++i) {
+    const std::string name(LinkClassName(static_cast<LinkClass>(i)));
+    link_[i] = {&metrics_.GetCounter(names::kFabricMessagesPrefix + name),
+                &metrics_.GetCounter(names::kFabricBytesPrefix + name)};
+  }
   Reactor::MetricsHooks hooks;
   hooks.dispatches = &metrics_.GetCounter(names::kFabricReactorDispatches);
   hooks.dispatch_nanos = &metrics_.GetHistogram(names::kFabricReactorDispatchNanos);
@@ -18,93 +30,25 @@ Fabric::Fabric(std::shared_ptr<Topology> topology)
 
 Fabric::~Fabric() { reactor_.Shutdown(); }
 
-Status Fabric::RegisterHandler(NodeId node, const std::string& service, Handler handler) {
-  MutexLock lock(mu_);
-  auto& services = handlers_[node];
-  auto [it, inserted] = services.emplace(service, std::move(handler));
-  if (!inserted) {
-    return Status::AlreadyExists("service '" + service + "' already registered on " +
-                                 node.ToString());
-  }
-  return Status::Ok();
-}
-
-Counter& Fabric::MessagesCounter(LinkClass c) {
-  return metrics_.GetCounter(names::kFabricMessagesPrefix +
-                             std::string(LinkClassName(c)));
-}
-
-Counter& Fabric::BytesCounter(LinkClass c) {
-  return metrics_.GetCounter(names::kFabricBytesPrefix +
-                             std::string(LinkClassName(c)));
-}
-
-void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control) {
-  LinkClass c = topology_->Classify(src, dst);
-  MessagesCounter(c).Increment();
-  BytesCounter(c).Add(bytes);
-  if (is_control) {
-    metrics_.GetCounter(names::kFabricControlMessages).Increment();
-  }
-  // Pure accounting — control-plane messages never stall the calling thread
-  // on modelled time (the realized share, if configured, applies to bulk
-  // transfers via the timer wheel, not to RPC metadata).
+void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes) {
+  const LinkCounters& link = Link(topology_->Classify(src, dst));
+  link.messages->Increment();
+  link.bytes->Add(bytes);
+  control_messages_->Increment();
+  // Pure accounting — control messages never stall the calling thread on
+  // modelled time (the realized share, if configured, applies to bulk
+  // transfers via the timer wheel, not to control metadata).
   clock_.Account(topology_->TransferNanos(src, dst, bytes));
 }
 
-Result<Buffer> Fabric::Call(NodeId src, NodeId dst, const std::string& service,
-                            Buffer request) {
-  Handler handler;
-  {
-    MutexLock lock(mu_);
-    if (dead_nodes_.count(dst) > 0) {
-      return Status::Unavailable("node " + dst.ToString() + " is dead");
-    }
-    auto nit = handlers_.find(dst);
-    if (nit == handlers_.end()) {
-      return Status::NotFound("no services on " + dst.ToString());
-    }
-    auto sit = nit->second.find(service);
-    if (sit == nit->second.end()) {
-      return Status::NotFound("service '" + service + "' not found on " + dst.ToString());
-    }
-    handler = sit->second;
+Status Fabric::Control(NodeId src, NodeId dst, int64_t request_bytes) {
+  if (IsDead(dst)) {
+    return Status::Unavailable("node " + dst.ToString() + " is dead");
   }
-  // Synchronous RPC on the caller's thread: the caller's thread-local trace
-  // context flows into the handler for free, so this span brackets both the
-  // request charge and the handler body (arg = request bytes).
-  trace::TraceSpan call_span(names::kSpanFabricCall,
-                             static_cast<int64_t>(request.size()), "bytes");
-  Charge(src, dst, static_cast<int64_t>(request.size()), /*is_control=*/true);
-  Result<Buffer> response = handler(request);
-  if (!response.ok()) {
-    Charge(dst, src, 0, /*is_control=*/true);
-    return response.status();
-  }
-  Charge(dst, src, static_cast<int64_t>(response->size()), /*is_control=*/true);
-  return response;
-}
-
-Status Fabric::Send(NodeId src, NodeId dst, const std::string& service, Buffer request) {
-  Handler handler;
-  {
-    MutexLock lock(mu_);
-    if (dead_nodes_.count(dst) > 0) {
-      return Status::Unavailable("node " + dst.ToString() + " is dead");
-    }
-    auto nit = handlers_.find(dst);
-    if (nit == handlers_.end()) {
-      return Status::NotFound("no services on " + dst.ToString());
-    }
-    auto sit = nit->second.find(service);
-    if (sit == nit->second.end()) {
-      return Status::NotFound("service '" + service + "' not found on " + dst.ToString());
-    }
-    handler = sit->second;
-  }
-  Charge(src, dst, static_cast<int64_t>(request.size()), /*is_control=*/true);
-  Result<Buffer> response = handler(request);
-  return response.status();
+  trace::TraceSpan call_span(names::kSpanFabricCall, request_bytes, "bytes");
+  Charge(src, dst, request_bytes);
+  Charge(dst, src, 0);  // the reply
+  return Status::Ok();
 }
 
 int64_t Fabric::TransferBytes(NodeId src, NodeId dst, int64_t bytes) {
@@ -124,11 +68,11 @@ int64_t Fabric::TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes,
       return 0;
     }
   }
-  LinkClass c = topology_->Classify(src, dst);
-  BytesCounter(c).Add(bytes);
-  MessagesCounter(c).Increment();
-  metrics_.GetCounter(names::kFabricDataTransfers).Increment();
-  metrics_.GetCounter(names::kFabricDataBytes).Add(bytes);
+  const LinkCounters& link = Link(topology_->Classify(src, dst));
+  link.bytes->Add(bytes);
+  link.messages->Increment();
+  data_transfers_->Increment();
+  data_bytes_->Add(bytes);
   // The transfer span covers modelled-time accounting; the completion's own
   // trace context is captured by ScheduleAfter below, which is what carries
   // the causal chain across the (possibly realized) delay.
@@ -163,26 +107,26 @@ bool Fabric::IsDead(NodeId node) const {
 
 int64_t Fabric::total_messages() const {
   int64_t total = 0;
-  for (int i = 0; i < 5; ++i) {
-    total += messages(static_cast<LinkClass>(i));
+  for (const LinkCounters& link : link_) {
+    total += link.messages->value();
   }
   return total;
 }
 
 int64_t Fabric::total_bytes() const {
   int64_t total = 0;
-  for (int i = 0; i < 5; ++i) {
-    total += bytes(static_cast<LinkClass>(i));
+  for (const LinkCounters& link : link_) {
+    total += link.bytes->value();
   }
   return total;
 }
 
 int64_t Fabric::messages(LinkClass link_class) const {
-  return const_cast<Fabric*>(this)->MessagesCounter(link_class).value();
+  return Link(link_class).messages->value();
 }
 
 int64_t Fabric::bytes(LinkClass link_class) const {
-  return const_cast<Fabric*>(this)->BytesCounter(link_class).value();
+  return Link(link_class).bytes->value();
 }
 
 }  // namespace skadi

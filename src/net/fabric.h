@@ -1,6 +1,6 @@
 // The emulated data-center fabric.
 //
-// Every cross-node interaction in the reproduction — control-plane RPCs
+// Every cross-node interaction in the reproduction — control messages
 // between raylets, ownership-table lookups, object transfers, durable-store
 // reads — goes through one Fabric instance, which:
 //   1. charges modelled time (topology latency + size/bandwidth) to the
@@ -8,20 +8,18 @@
 //   2. increments deterministic per-link-class counters (messages, bytes)
 //      that the experiment harness reports.
 //
-// RPCs are synchronous: the handler runs on the caller's thread after the
-// request cost is charged, and the response cost is charged on return.
-// Concurrency comes from the runtime's many worker threads; handlers must be
-// thread-safe.
+// The fabric carries no payloads and runs no remote code: the runtime acts
+// on the destination's state directly, in-process, and calls Control() or
+// TransferBytes() to pay for the message that would have carried it. All
+// methods are thread-safe; counter handles are resolved once, at
+// construction.
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
 
-#include <functional>
+#include <array>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <unordered_set>
 
-#include "src/common/buffer.h"
 #include "src/common/clock.h"
 #include "src/common/id.h"
 #include "src/common/metrics.h"
@@ -34,8 +32,6 @@ namespace skadi {
 
 class Fabric {
  public:
-  using Handler = std::function<Result<Buffer>(const Buffer& request)>;
-
   explicit Fabric(std::shared_ptr<Topology> topology);
   ~Fabric();
 
@@ -52,23 +48,15 @@ class Fabric {
   // Fraction of modelled time realized as actual delay (see VirtualClock).
   void set_realize_fraction(double fraction) { clock_.set_realize_fraction(fraction); }
 
-  // Registers the handler for `service` on `node`. One handler per
-  // (node, service) pair.
-  Status RegisterHandler(NodeId node, const std::string& service, Handler handler);
+  // One control round trip from src to dst: charges a `request_bytes`
+  // request and a zero-byte reply (two control messages, both modelled
+  // latencies). Fails kUnavailable, charging nothing, if dst is dead.
+  Status Control(NodeId src, NodeId dst, int64_t request_bytes);
 
-  // Synchronous RPC from src to dst. Charges request + response transfer
-  // cost and counts one control round trip. Fails kUnavailable if the target
-  // node is dead or has no such service.
-  Result<Buffer> Call(NodeId src, NodeId dst, const std::string& service, Buffer request);
-
-  // One-way message: charges one transfer, runs the handler, discards the
-  // reply. Used by the push-based future-resolution protocol.
-  Status Send(NodeId src, NodeId dst, const std::string& service, Buffer request);
-
-  // Bulk data-plane transfer accounting (no handler involved): charges the
-  // modelled time for `bytes` between the two nodes and counts it. Returns
-  // the charged nanoseconds. Never blocks: when a realize fraction is
-  // configured, the realized delay lands on the reactor's timer wheel (see
+  // Bulk data-plane transfer accounting: charges the modelled time for
+  // `bytes` between the two nodes and counts it. Returns the charged
+  // nanoseconds. Never blocks: when a realize fraction is configured, the
+  // realized delay lands on the reactor's timer wheel (see
   // TransferBytesAsync) instead of stalling the calling thread.
   int64_t TransferBytes(NodeId src, NodeId dst, int64_t bytes);
 
@@ -79,7 +67,7 @@ class Fabric {
   // charged modelled nanoseconds.
   int64_t TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes, Continuation done);
 
-  // Failure injection: a dead node rejects calls and sends.
+  // Failure injection: a dead node rejects control messages and transfers.
   void MarkDead(NodeId node);
   void Revive(NodeId node);
   bool IsDead(NodeId node) const;
@@ -92,20 +80,27 @@ class Fabric {
   int64_t bytes(LinkClass link_class) const;
 
  private:
-  void Charge(NodeId src, NodeId dst, int64_t bytes, bool is_control);
+  struct LinkCounters {
+    Counter* messages;
+    Counter* bytes;
+  };
 
-  Counter& MessagesCounter(LinkClass c);
-  Counter& BytesCounter(LinkClass c);
+  // Counts one control message and accounts its modelled transfer time.
+  void Charge(NodeId src, NodeId dst, int64_t bytes);
+  const LinkCounters& Link(LinkClass c) const { return link_[static_cast<int>(c)]; }
 
   std::shared_ptr<Topology> topology_;
   VirtualClock clock_;
   MetricsRegistry metrics_;
   Reactor reactor_;
 
+  // Resolved at construction; the registry keeps every handle alive.
+  std::array<LinkCounters, kNumLinkClasses> link_{};
+  Counter* control_messages_;
+  Counter* data_transfers_;
+  Counter* data_bytes_;
+
   mutable Mutex mu_;
-  // (node, service) -> handler
-  std::unordered_map<NodeId, std::unordered_map<std::string, Handler>> handlers_
-      GUARDED_BY(mu_);
   std::unordered_set<NodeId> dead_nodes_ GUARDED_BY(mu_);
 };
 

@@ -1,6 +1,5 @@
 #include "src/net/push_batcher.h"
 
-#include <thread>
 #include <utility>
 
 #include "src/common/metric_names.h"
@@ -10,22 +9,6 @@ namespace skadi {
 PushBatcher::PushBatcher(FlushFn flush, int max_batch)
     : flush_(std::move(flush)), max_batch_(max_batch < 1 ? 1 : max_batch) {}
 
-PushBatcher::~PushBatcher() {
-  if (reactor_ != nullptr) {
-    const TimerId id = armed_timer_.exchange(0, std::memory_order_relaxed);
-    if (id != 0) {
-      reactor_->Cancel(id);
-    }
-  }
-  // A tick that already fired may hold a strong ref to the gate; wait it
-  // out. After the weak_ptr expires no continuation can reach `this`.
-  std::weak_ptr<TickGate> gone = tick_gate_;
-  tick_gate_.reset();
-  while (!gone.expired()) {
-    std::this_thread::yield();
-  }
-}
-
 void PushBatcher::set_metrics(MetricsRegistry* registry) {
   batches_ctr_ = &registry->GetCounter(names::kRuntimePushBatches);
   entries_ctr_ = &registry->GetCounter(names::kRuntimePushBatchedEntries);
@@ -33,7 +16,6 @@ void PushBatcher::set_metrics(MetricsRegistry* registry) {
 
 void PushBatcher::Add(NodeId owner, PushEntry entry) {
   std::map<Key, std::vector<PushEntry>> full;
-  bool arm = false;
   {
     MutexLock lock(mu_);
     const Key key{owner, entry.consumer_node};
@@ -44,28 +26,7 @@ void PushBatcher::Add(NodeId owner, PushEntry entry) {
       full[key] = std::move(batch);
       pending_count_ -= full[key].size();
       pending_.erase(key);
-    } else if (reactor_ != nullptr && !timer_armed_) {
-      timer_armed_ = true;
-      arm = true;
     }
-  }
-  if (arm) {
-    // The tick owns a weak gate, never `this`: the batcher does not own the
-    // reactor, so the 200us safety flush can outlive it (DESIGN.md §14).
-    std::weak_ptr<TickGate> gate = tick_gate_;
-    const TimerId id = reactor_->ScheduleAfter(tick_nanos_, [gate] {
-      std::shared_ptr<TickGate> live = gate.lock();
-      if (live == nullptr) {
-        return;  // batcher destroyed between arm and fire
-      }
-      PushBatcher* self = live->self;
-      {
-        MutexLock lock(self->mu_);
-        self->timer_armed_ = false;
-      }
-      self->FlushAll();
-    });
-    armed_timer_.store(id, std::memory_order_relaxed);
   }
   if (!full.empty()) {
     Deliver(std::move(full));

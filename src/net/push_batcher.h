@@ -8,13 +8,13 @@
 // each batch as ONE fabric message, so per-object control traffic collapses
 // to per-destination traffic.
 //
-// Flush triggers, any of:
+// Flush triggers, either of:
 //  * a destination's batch reaches `max_batch` entries (inline, caller's
-//    thread),
-//  * the owner's completion handler finishes registering every output's
-//    consumers and calls FlushAll() (the common, latency-preserving path),
-//  * the reactor tick timer fires (safety net for entries queued outside a
-//    completion, e.g. future call sites; armed only while entries pend).
+//    thread). With max_batch 1 every Add delivers inline, which is the
+//    unbatched ablation;
+//  * the caller that queued the entries calls FlushAll() once it has
+//    queued them all (the dispatch and completion paths always do, on every
+//    return path, so nothing is ever left pending).
 //
 // Delivered/saved traffic is observable as runtime.push_batches (messages
 // actually sent) vs runtime.push_batched_entries (object-consumer entries
@@ -22,18 +22,15 @@
 #ifndef SRC_NET_PUSH_BATCHER_H_
 #define SRC_NET_PUSH_BATCHER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/id.h"
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
-#include "src/net/reactor.h"
 
 namespace skadi {
 
@@ -55,27 +52,14 @@ class PushBatcher {
 
   explicit PushBatcher(FlushFn flush, int max_batch = kDefaultMaxBatch);
 
-  // Cancels the armed safety tick and waits out any tick continuation that
-  // is already running, so no reactor timer ever touches a dead batcher.
-  ~PushBatcher();
-
   static constexpr int kDefaultMaxBatch = 32;
-  static constexpr int64_t kDefaultTickNanos = 200'000;  // 200us safety flush
-
-  // Wires the reactor whose timer wheel drives the safety-net flush tick.
-  // Unset, only the size threshold and explicit FlushAll() flush. Wire before
-  // concurrent use; not synchronized.
-  void set_reactor(Reactor* reactor, int64_t tick_nanos = kDefaultTickNanos) {
-    reactor_ = reactor;
-    tick_nanos_ = tick_nanos;
-  }
 
   // Wires the runtime.push_batches / runtime.push_batched_entries counters.
-  // Same wire-before-use contract as set_reactor.
+  // Wire before concurrent use; not synchronized.
   void set_metrics(MetricsRegistry* registry);
 
   // Queues one push from `owner`. Flushes (owner, entry.consumer_node)'s
-  // batch inline once it reaches max_batch; otherwise arms the tick timer.
+  // batch inline once it reaches max_batch.
   void Add(NodeId owner, PushEntry entry);
 
   // Flushes every pending batch. The owner-side completion handler calls
@@ -95,21 +79,6 @@ class PushBatcher {
 
   FlushFn flush_;
   const int max_batch_;
-  Reactor* reactor_ = nullptr;
-  int64_t tick_nanos_ = kDefaultTickNanos;
-
-  // Liveness gate for the tick continuation. The timer lambda holds only a
-  // weak_ptr<TickGate>; a tick firing after the batcher died locks nothing
-  // and returns, and the destructor spins until an in-flight tick drops its
-  // strong ref. The batcher does not own the reactor, so this is the only
-  // thing standing between the 200us safety flush and a use-after-free.
-  struct TickGate {
-    PushBatcher* self;
-  };
-  std::shared_ptr<TickGate> tick_gate_ =
-      std::make_shared<TickGate>(TickGate{this});
-  // TimerId of the armed tick (0 = none), for the destructor's Cancel.
-  std::atomic<TimerId> armed_timer_{0};
   Counter* batches_ctr_ = nullptr;
   Counter* entries_ctr_ = nullptr;
 
@@ -117,7 +86,6 @@ class PushBatcher {
   mutable Mutex mu_;
   std::map<Key, std::vector<PushEntry>> pending_ GUARDED_BY(mu_);
   size_t pending_count_ GUARDED_BY(mu_) = 0;
-  bool timer_armed_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace skadi

@@ -6,9 +6,9 @@
 // DPU "also manages memory on its companion devices" through the recorded
 // device handle.
 //
-// One OwnershipTable instance exists per owner node; the runtime exposes it
-// to remote nodes through a fabric service, so every lookup/notification from
-// another node is a counted, costed control message.
+// One OwnershipTable instance exists per owner node. Remote nodes reach it
+// in-process, and the runtime charges every lookup/notification from another
+// node as a counted, costed fabric control message (Fabric::Control).
 //
 // Concurrency (DESIGN.md §13): the table is hash-partitioned by ObjectId into
 // `num_shards` shards, each with its own mutex, records map, and watcher
@@ -120,7 +120,7 @@ class OwnershipTable {
   Result<bool> RegisterConsumer(ObjectId id, ConsumerRegistration consumer);
 
   // Pull protocol: current state + a location to fetch from (nullopt while
-  // pending). This is the RPC the consumer-side raylet issues to the owner.
+  // pending). The consumer-side raylet pays one control round trip for it.
   struct ResolveReply {
     ObjectState state = ObjectState::kPending;
     std::optional<NodeId> location;

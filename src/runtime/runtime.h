@@ -53,8 +53,6 @@ struct RuntimeOptions {
   // Push mode: coalesce same-destination resolution pushes into one fabric
   // message per flush instead of one per (object, consumer) pair.
   bool batch_pushes = true;
-  // Size threshold that force-flushes one destination's batch early.
-  int push_batch_max = PushBatcher::kDefaultMaxBatch;
 };
 
 class SkadiRuntime {
@@ -161,7 +159,7 @@ class SkadiRuntime {
   Status DispatchToNode(const TaskSpec& spec, NodeId target);
 
   // Recovery helpers.
-  void RecoverLostObjects(const std::vector<ObjectId>& lost);
+  void RecoverLostObjects(const std::vector<ObjectRef>& lost);
 
   // Live-op registry: every GetOp registers at Start and deregisters at
   // Finish, so Shutdown can cancel the stragglers a caller abandoned (a
@@ -174,8 +172,9 @@ class SkadiRuntime {
   RuntimeOptions options_;
 
   std::unique_ptr<Scheduler> scheduler_;
-  // Push mode with options_.batch_pushes: coalesces same-destination
-  // resolution pushes (null otherwise).
+  // Push mode's one delivery path (null in pull mode): coalesces
+  // same-destination resolution pushes, or with batch_pushes off delivers
+  // each push inline as a batch of one.
   std::unique_ptr<PushBatcher> push_batcher_;
   std::unique_ptr<Autoscaler> autoscaler_;
   std::unordered_map<NodeId, std::unique_ptr<Raylet>> raylets_;
@@ -187,8 +186,6 @@ class SkadiRuntime {
   mutable Mutex mu_;
   // task id -> spec
   std::unordered_map<TaskId, TaskSpec> lineage_ GUARDED_BY(mu_);
-  // for Release/Get sanity
-  std::unordered_map<ObjectId, NodeId> object_owner_ GUARDED_BY(mu_);
   std::unordered_map<ActorId, NodeId> actor_homes_ GUARDED_BY(mu_);
 };
 

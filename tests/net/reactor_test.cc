@@ -214,6 +214,25 @@ TEST(ReactorTest, BlockOnDeadline) {
   EXPECT_FALSE(r.BlockOn(ev, NowNanos() + 20 * kMs));
 }
 
+// A BlockOn that exits on its deadline leaves its wake-up continuation on
+// the caller-owned event, which here outlives the reactor. The wake-up holds
+// only a weak gate (DESIGN.md §14): each iteration fires the event from
+// another thread while ~Reactor expires the gate and waits out an in-flight
+// wake-up, so ASan/TSan flag any touch of the freed reactor.
+TEST(ReactorTest, EventOutlivingReactorAfterBlockOnTimeoutIsSafe) {
+  for (int i = 0; i < 100; ++i) {
+    Event ev;
+    std::thread setter;
+    {
+      Reactor r("gate");
+      EXPECT_FALSE(r.BlockOn(ev, NowNanos()));
+      setter = std::thread([&ev] { ev.Set(); });
+    }  // ~Reactor races the setter's wake-up
+    setter.join();
+    EXPECT_TRUE(ev.is_set());
+  }
+}
+
 TEST(ReactorTest, GrowAndShrinkAdjustLogicalSize) {
   Reactor r("test");
   r.Start(1);

@@ -19,8 +19,8 @@ count):
     (`Put/Get/Delete/Migrate/PutEc/PutDurable/GetDurable`; directory reads
     like `SizeOf`/`Locations` take only the cache mutex and are the
     documented Scheduler -> CachingLayer edge, so they are fine),
-  * fabric RPC / transfer (`Call`, `TransferBytes`, `Send` on a fabric
-    receiver),
+  * fabric control hop / transfer (`Control`, `TransferBytes` on a fabric
+    receiver; both take `Fabric::mu_`),
   * `CondVar::Wait(lock)` while a *second* lock is held (Wait releases only
     its own lock).
 
@@ -40,7 +40,7 @@ _BLOCKING_ANY = {"RunTask", "WaitReady", "WaitUntilIdle"}
 _STORE_METHODS = {"Put", "Get", "Delete", "Clear", "Pin", "Unpin"}
 _CACHE_METHODS = {"Put", "Get", "Delete", "Migrate", "PutEc", "PutDurable",
                   "GetDurable", "EnableSpillToBlade"}
-_FABRIC_METHODS = {"Call", "TransferBytes", "Send"}
+_FABRIC_METHODS = {"Control", "TransferBytes"}
 _WAIT_METHODS = {"Wait", "WaitFor", "WaitUntil"}
 
 _STORE_RECV_RE = re.compile(r"store", re.IGNORECASE)

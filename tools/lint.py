@@ -134,7 +134,7 @@ STATUS_RETURNING = {
     # Fabric / scheduler / raylet / runtime. "Register" is absent: it
     # collides with void Autoscaler::Register; FunctionRegistry::Register
     # discards are caught by [[nodiscard]] at compile time instead.
-    "RegisterHandler", "Submit", "Enqueue", "CreateActor",
+    "Control", "Submit", "Enqueue", "CreateActor",
     "AddNode", "RegisterTable",
 }
 # `Delete` / `Get` / `Send` etc. are deliberately absent: best-effort deletes
