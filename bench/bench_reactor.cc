@@ -24,7 +24,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 namespace {

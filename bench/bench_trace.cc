@@ -31,8 +31,8 @@
 #include <memory>
 
 #include "src/common/event.h"
+#include "src/common/reactor.h"
 #include "src/common/trace.h"
-#include "src/net/reactor.h"
 
 namespace skadi {
 namespace {

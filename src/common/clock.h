@@ -1,16 +1,14 @@
 // Clocks for the emulated cluster.
 //
 // The fabric and device cost models charge *virtual* nanoseconds to a
-// VirtualClock so experiments report deterministic modelled time; callers
-// can additionally realize a fraction of the charged time as actual delay
-// (benchmarks do, unit tests don't).
+// VirtualClock so experiments report deterministic modelled time. Modelled
+// time is only accounted, never realized as actual delay.
 #ifndef SRC_COMMON_CLOCK_H_
 #define SRC_COMMON_CLOCK_H_
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 namespace skadi {
 
@@ -24,33 +22,12 @@ inline int64_t NowNanos() {
 // Accumulates modelled time. Thread-safe. One instance per emulated cluster.
 class VirtualClock {
  public:
-  // Charges `nanos` of modelled time. If `realize_fraction` was configured
-  // > 0, also blocks the calling thread for nanos * fraction (busy-sleeping
-  // below a threshold for accuracy).
+  // Charges `nanos` of modelled time. Never blocks.
   void Charge(int64_t nanos) {
     if (nanos <= 0) {
       return;
     }
     total_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-    if (realize_fraction_ > 0.0) {
-      RealizeDelay(static_cast<int64_t>(static_cast<double>(nanos) * realize_fraction_));
-    }
-  }
-
-  // Accounts `nanos` of modelled time without ever blocking: the realized
-  // share (if any) is the caller's to schedule — the fabric puts it on its
-  // reactor's timer wheel instead of sleeping (see
-  // Fabric::TransferBytesAsync). Returns the realized delay in actual
-  // nanoseconds (0 when pure accounting).
-  int64_t Account(int64_t nanos) {
-    if (nanos <= 0) {
-      return 0;
-    }
-    total_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-    if (realize_fraction_ <= 0.0) {
-      return 0;
-    }
-    return static_cast<int64_t>(static_cast<double>(nanos) * realize_fraction_);
   }
 
   // Total modelled nanoseconds charged so far.
@@ -58,31 +35,8 @@ class VirtualClock {
 
   void Reset() { total_nanos_.store(0, std::memory_order_relaxed); }
 
-  // Fraction of charged virtual time realized as actual thread delay.
-  // 0 (default) = pure accounting; 1 = real-time emulation.
-  void set_realize_fraction(double fraction) { realize_fraction_ = fraction; }
-  double realize_fraction() const { return realize_fraction_; }
-
  private:
-  static void RealizeDelay(int64_t nanos) {
-    if (nanos <= 0) {
-      return;
-    }
-    // sleep_for has ~50us granularity on Linux; spin for short delays so the
-    // modelled latency shape survives in measured wall time.
-    constexpr int64_t kSpinThresholdNanos = 50 * 1000;
-    if (nanos < kSpinThresholdNanos) {
-      const int64_t deadline = NowNanos() + nanos;
-      while (NowNanos() < deadline) {
-        // spin
-      }
-    } else {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(nanos));
-    }
-  }
-
   std::atomic<int64_t> total_nanos_{0};
-  double realize_fraction_ = 0.0;
 };
 
 // RAII stopwatch measuring wall time.

@@ -1,7 +1,5 @@
-// skadi::Event — one-shot completion token (moved here from src/net so
-// lock-free common-layer code like MorselPool can count down into a
-// continuation without linking the reactor; src/net re-exports it as
-// net::Event so reactor code is unchanged).
+// skadi::Event — one-shot completion token, used with the Reactor
+// (src/common/reactor.h) and on its own (MorselPool's region countdown).
 //
 // A waiter registers continuations with OnSet instead of blocking; Set fires
 // them exactly once. BlockingWait is the thread-parking shim for the legacy

@@ -40,7 +40,8 @@ void MorselPool::RunRegion(int helpers, const std::function<void()>& work) {
   };
   int submitted = 0;
   for (int i = 0; i < helpers; ++i) {
-    bool accepted = pool_.Submit([region, finish_one, &work] {
+    // analyze:lifetime frame outlives every helper: region->done.BlockingWait() below
+    bool accepted = pool_.Post([region, finish_one, &work] {
       work();
       finish_one(region);
     });

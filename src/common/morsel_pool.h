@@ -1,8 +1,8 @@
 // Morsel-driven intra-task parallelism (Leis et al., SIGMOD '14).
 //
 // A MorselPool runs a kernel's inner loop over a large row range by splitting
-// it into fixed-size morsels and letting a bounded set of workers (helper
-// threads from an internal ThreadPool plus the calling thread) claim morsels
+// it into fixed-size morsels and letting a bounded set of workers (helpers
+// posted to the pool's own Reactor plus the calling thread) claim morsels
 // from a shared cursor. Kernels keep thread-local partial state (e.g. a
 // per-worker hash table for group-by) and merge the partials afterwards.
 //
@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "src/common/thread_pool.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 
@@ -32,7 +32,7 @@ class MorselPool {
  public:
   static constexpr int64_t kDefaultMorselRows = 64 * 1024;
 
-  explicit MorselPool(size_t num_helper_threads) : pool_(num_helper_threads) {}
+  explicit MorselPool(size_t num_helper_threads) { pool_.Start(num_helper_threads); }
 
   // Process-wide pool used by the compute kernels. Sized to cover at least 4
   // helper workers so morsel paths exercise real concurrency (and TSan sees
@@ -53,7 +53,7 @@ class MorselPool {
                       const std::function<void(int chunk, int64_t begin, int64_t end)>& fn);
 
  private:
-  // Submits `helpers` jobs running `work` and waits (after running `work`
+  // Posts `helpers` jobs running `work` and waits (after running `work`
   // inline once) until all of them finish. Region completion is a countdown
   // continuation: the last worker to finish fires a one-shot Event (see
   // RunRegion), so the wait is a single Event::BlockingWait at the blocking
@@ -61,7 +61,7 @@ class MorselPool {
   // caller drains morsels alongside the helpers and often finishes last.
   void RunRegion(int helpers, const std::function<void()>& work);
 
-  ThreadPool pool_;
+  Reactor pool_{"morsel-pool"};
 };
 
 }  // namespace skadi

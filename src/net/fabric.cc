@@ -35,10 +35,7 @@ void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes) {
   link.messages->Increment();
   link.bytes->Add(bytes);
   control_messages_->Increment();
-  // Pure accounting — control messages never stall the calling thread on
-  // modelled time (the realized share, if configured, applies to bulk
-  // transfers via the timer wheel, not to control metadata).
-  clock_.Account(topology_->TransferNanos(src, dst, bytes));
+  clock_.Charge(topology_->TransferNanos(src, dst, bytes));
 }
 
 Status Fabric::Control(NodeId src, NodeId dst, int64_t request_bytes) {
@@ -52,19 +49,11 @@ Status Fabric::Control(NodeId src, NodeId dst, int64_t request_bytes) {
 }
 
 int64_t Fabric::TransferBytes(NodeId src, NodeId dst, int64_t bytes) {
-  return TransferBytesAsync(src, dst, bytes, Continuation());
-}
-
-int64_t Fabric::TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes,
-                                   Continuation done) {
   {
     MutexLock lock(mu_);
     // A transfer from/to a dead node silently accounts nothing; callers check
     // liveness before initiating transfers, this is a backstop.
     if (dead_nodes_.count(src) > 0 || dead_nodes_.count(dst) > 0) {
-      if (done) {
-        done();
-      }
       return 0;
     }
   }
@@ -73,20 +62,9 @@ int64_t Fabric::TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes,
   link.messages->Increment();
   data_transfers_->Increment();
   data_bytes_->Add(bytes);
-  // The transfer span covers modelled-time accounting; the completion's own
-  // trace context is captured by ScheduleAfter below, which is what carries
-  // the causal chain across the (possibly realized) delay.
   trace::TraceSpan transfer_span(names::kSpanFabricTransfer, bytes, "bytes");
-  int64_t nanos = topology_->TransferNanos(src, dst, bytes);
-  // What used to be VirtualClock::RealizeDelay (a spin/sleep on this thread)
-  // is now a timer-wheel completion: the realized share of the modelled
-  // transfer time delays `done`, not the caller.
-  const int64_t realized = clock_.Account(nanos);
-  if (done) {
-    if (realized <= 0 || reactor_.ScheduleAfter(realized, done) == 0) {
-      done();
-    }
-  }
+  const int64_t nanos = topology_->TransferNanos(src, dst, bytes);
+  clock_.Charge(nanos);
   return nanos;
 }
 

@@ -4,7 +4,7 @@
 // between raylets, ownership-table lookups, object transfers, durable-store
 // reads — goes through one Fabric instance, which:
 //   1. charges modelled time (topology latency + size/bandwidth) to the
-//      cluster VirtualClock, optionally realizing it as actual delay, and
+//      cluster VirtualClock, and
 //   2. increments deterministic per-link-class counters (messages, bytes)
 //      that the experiment harness reports.
 //
@@ -24,9 +24,9 @@
 #include "src/common/id.h"
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
+#include "src/common/reactor.h"
 #include "src/common/status.h"
 #include "src/hw/topology.h"
-#include "src/net/reactor.h"
 
 namespace skadi {
 
@@ -40,13 +40,10 @@ class Fabric {
   MetricsRegistry& metrics() { return metrics_; }
 
   // The cluster's control-plane event loop: ownership-readiness
-  // continuations, single-flight completions, Get timeouts, and modelled
-  // fabric delays all resolve here instead of parking OS threads. One driver
-  // thread is started at construction; Grow/Shrink adjust it.
+  // continuations, single-flight completions, Get timeouts, and lost-object
+  // backoff all resolve here instead of parking OS threads. One driver
+  // thread is started at construction.
   Reactor& reactor() { return reactor_; }
-
-  // Fraction of modelled time realized as actual delay (see VirtualClock).
-  void set_realize_fraction(double fraction) { clock_.set_realize_fraction(fraction); }
 
   // One control round trip from src to dst: charges a `request_bytes`
   // request and a zero-byte reply (two control messages, both modelled
@@ -55,17 +52,8 @@ class Fabric {
 
   // Bulk data-plane transfer accounting: charges the modelled time for
   // `bytes` between the two nodes and counts it. Returns the charged
-  // nanoseconds. Never blocks: when a realize fraction is configured, the
-  // realized delay lands on the reactor's timer wheel (see
-  // TransferBytesAsync) instead of stalling the calling thread.
+  // nanoseconds. Never blocks.
   int64_t TransferBytes(NodeId src, NodeId dst, int64_t bytes);
-
-  // TransferBytes with a completion continuation: `done` runs after the
-  // realized share of the modelled transfer time has elapsed on the timer
-  // wheel — inline, before returning, when the realized delay is zero (the
-  // default config), so the hot path never touches the reactor. Returns the
-  // charged modelled nanoseconds.
-  int64_t TransferBytesAsync(NodeId src, NodeId dst, int64_t bytes, Continuation done);
 
   // Failure injection: a dead node rejects control messages and transfers.
   void MarkDead(NodeId node);

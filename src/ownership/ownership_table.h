@@ -31,8 +31,8 @@
 #include "src/common/id.h"
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
+#include "src/common/reactor.h"
 #include "src/common/status.h"
-#include "src/net/reactor.h"
 #include "src/ownership/object_ref.h"
 
 namespace skadi {

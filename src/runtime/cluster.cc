@@ -33,7 +33,6 @@ std::unique_ptr<Cluster> Cluster::Create(const ClusterConfig& config) {
   cluster->config_ = config;
   cluster->topology_ = std::make_shared<Topology>();
   cluster->fabric_ = std::make_unique<Fabric>(cluster->topology_);
-  cluster->fabric_->set_realize_fraction(config.realize_fraction);
   cluster->cache_ = std::make_unique<CachingLayer>(cluster->fabric_.get(), config.caching);
 
   Topology& topo = *cluster->topology_;

@@ -37,9 +37,6 @@ struct ClusterConfig {
 
   bool with_durable_store = true;
 
-  // Fraction of modelled fabric/compute time realized as actual delay.
-  double realize_fraction = 0.0;
-
   CachingLayerOptions caching;
 };
 

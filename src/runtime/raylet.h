@@ -17,8 +17,8 @@
 #include "src/common/clock.h"
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
+#include "src/common/reactor.h"
 #include "src/hw/cost_model.h"
-#include "src/net/reactor.h"
 #include "src/runtime/cluster.h"
 #include "src/runtime/task.h"
 
@@ -98,9 +98,8 @@ class Raylet {
   FunctionRegistry* registry_;
   VirtualClock* clock_;
   Callbacks callbacks_;
-  // Worker pool as a reactor: task readiness is the ready-queue (what used
-  // to be a BlockingQueue::Pop per worker), so the same drivers also run
-  // any continuations posted to this raylet.
+  // Worker pool as a reactor: task readiness is the ready-queue, so the same
+  // drivers also run any continuations posted to this raylet.
   Reactor workers_;
   std::atomic<bool> dead_{false};
   std::atomic<int64_t> tasks_executed_{0};

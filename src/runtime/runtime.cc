@@ -6,8 +6,8 @@
 
 #include "src/common/logging.h"
 #include "src/common/metric_names.h"
+#include "src/common/reactor.h"
 #include "src/common/trace.h"
-#include "src/net/reactor.h"
 
 namespace skadi {
 

@@ -5,7 +5,7 @@
 // the Defer() call site.
 #include <functional>
 
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -2,7 +2,7 @@
 // reactor and runs after Register() has returned — `total` lives on
 // Register()'s frame, so the by-reference capture is a use-after-return.
 // async-capture must flag the lambda.
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

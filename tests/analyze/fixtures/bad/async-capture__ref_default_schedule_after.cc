@@ -2,7 +2,7 @@
 // every frame-local the body touches by reference; the timer fires 1ms
 // after Probe() returned, pointing into a dead frame. async-capture must
 // flag the [&] default's frame-locals.
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -3,7 +3,7 @@
 // Shutdown, so queued continuations drain before the members they touch are
 // destroyed. This class has no destructor: member destruction order still
 // races the in-flight tick. async-this must flag it.
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

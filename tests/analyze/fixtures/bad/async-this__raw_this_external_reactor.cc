@@ -2,7 +2,7 @@
 // arms the timer on, has no destructor, and offers no lifetime guarantee —
 // the tick can fire after the batcher is gone (the PushBatcher bug this
 // rule was built from). async-this must flag the raw `this` capture.
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -3,7 +3,7 @@
 // copy-by-value is of the pointer, not the object. async-this must flag the
 // implicit this capture, since the body touches a member and the class
 // offers no lifetime guarantee.
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -3,7 +3,7 @@
 // be unpinned / evicted before the continuation runs. async-view-escape
 // must flag the view capture crossing the async boundary.
 #include "src/common/buffer.h"
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -2,7 +2,7 @@
 // reference. Both the view object (frame-local) and the bytes it points at
 // are gone when the continuation runs. async-view-escape must flag it.
 #include "src/common/buffer.h"
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

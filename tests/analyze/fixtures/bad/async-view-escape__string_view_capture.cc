@@ -5,7 +5,7 @@
 #include <string>
 #include <string_view>
 
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

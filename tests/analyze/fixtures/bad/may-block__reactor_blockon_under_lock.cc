@@ -6,7 +6,7 @@
 // lock-blocking interprocedural pass must flag the helper's wait under the
 // caller's lock.
 #include "src/common/mutex.h"
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -4,7 +4,7 @@
 // `// analyze:lifetime <reason>` annotation (guarantee 3) silences the
 // rule; the reason is mandatory (tools/lint.py checks it is non-empty).
 #include "src/common/event.h"
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -3,7 +3,7 @@
 // what it touches no matter when it runs. No async finding.
 #include <memory>
 
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -2,7 +2,7 @@
 // class owns the reactor by value and its destructor calls Shutdown, which
 // drains queued continuations before any member is destroyed; `this` in a
 // continuation posted to that reactor cannot dangle. No async finding.
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

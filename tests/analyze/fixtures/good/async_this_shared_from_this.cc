@@ -4,7 +4,7 @@
 // finding.
 #include <memory>
 
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 

@@ -11,7 +11,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/event.h"
-#include "src/net/reactor.h"
+#include "src/common/reactor.h"
 
 namespace skadi {
 namespace {

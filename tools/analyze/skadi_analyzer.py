@@ -39,8 +39,8 @@ by call_graph.py; virtual/callback edges declared `// analyze:calls <fn>`):
 Async-lifetime passes (async_lifetime.py; DESIGN.md §14): lambdas become
 pseudo-functions in the graph, an escapes-to-deferred fixpoint marks every
 function whose callback argument reaches Post/ScheduleAfter/OnSet/
-StateOrWatch/GetAsync/TransferBytesAsync, and three rules fire on captures
-crossing that boundary:
+StateOrWatch/GetAsync, and three rules fire on captures crossing that
+boundary:
 
   async-capture        by-reference capture of a frame-local reaches a
                        deferred sink.
