@@ -24,6 +24,7 @@
 
 #include "bench/bench_util.h"
 #include "src/format/compute.h"
+#include "tests/support/compute_reference.h"
 
 namespace skadi {
 namespace {

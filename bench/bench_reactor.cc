@@ -1,7 +1,7 @@
-// Reactor benchmark (ISSUE 7 tentpole): the event-driven control plane must
-// carry 100k+ concurrent outstanding futures on one node with a bounded
-// driver-thread count — the thread-per-wait design it replaces would need
-// one parked OS thread per future.
+// Reactor benchmark: the event-driven control plane must carry 100k+
+// concurrent outstanding futures on one node with a bounded driver-thread
+// count — the thread-per-wait design it replaces would need one parked OS
+// thread per future.
 //
 //  * BM_ReactorPost: raw ready-queue dispatch throughput (post -> run) on a
 //    two-driver pool.
@@ -12,7 +12,7 @@
 //    reactor_threads — the acceptance numbers for BENCH_reactor.json.
 //  * BM_RuntimeFutures/N: end-to-end — N echo tasks in flight through
 //    Submit/GetAsync on a SkadiRuntime, all futures resolved via ownership
-//    watchers on the fabric reactor.
+//    watchers on the runtime's control reactor.
 //
 // SKADI_BENCH_SMOKE=1 shrinks future counts to 4096 (256 end-to-end) and
 // runs one iteration per benchmark (tools/check.sh sanitizer smoke).

@@ -130,7 +130,7 @@ Result<Buffer> CachingLayer::Get(ObjectId id, NodeId at, bool cache_locally) {
     *result = std::move(r);
     ev->Set();
   });
-  fabric_->reactor().BlockOn(*ev);
+  ev->BlockingWait();
   return std::move(*result);
 }
 

@@ -17,6 +17,7 @@
 
 #include "src/cache/erasure.h"
 #include "src/common/buffer.h"
+#include "src/common/event.h"
 #include "src/common/id.h"
 #include "src/common/mutex.h"
 #include "src/common/status.h"
@@ -61,8 +62,9 @@ class CachingLayer {
   // Buffer (zero-copy — Buffers alias refcounted storage). Followers inherit
   // the leader's result, including its cache_locally decision.
   //
-  // A drain-loop shim over GetAsync: blocks the caller (helping drive the
-  // fabric reactor when appropriate) until the result is available.
+  // A blocking shim over GetAsync: parks the caller on its own Event until
+  // the result is available. Only a single-flight follower ever waits, and
+  // the leader completes it from its own thread once the fetch publishes.
   Result<Buffer> Get(ObjectId id, NodeId at, bool cache_locally = false);
 
   // Continuation form of Get — never parks the calling thread waiting on

@@ -65,6 +65,8 @@ inline constexpr char kFabricBytesPrefix[] = "fabric.bytes.";
 inline constexpr char kFabricControlMessages[] = "fabric.control_messages";
 inline constexpr char kFabricDataTransfers[] = "fabric.data_transfers";
 inline constexpr char kFabricDataBytes[] = "fabric.data_bytes";
+// The runtime's control reactor (SkadiRuntime::control_) keeps the
+// fabric.reactor.* names it had when the fabric owned it; perfbench reads them.
 inline constexpr char kFabricReactorDispatches[] = "fabric.reactor.dispatches";
 inline constexpr char kFabricReactorDispatchNanos[] = "fabric.reactor.dispatch_nanos";
 inline constexpr char kFabricReactorTimerLagNanos[] = "fabric.reactor.timer_lag_nanos";

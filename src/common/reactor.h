@@ -9,8 +9,9 @@
 //   * one-shot Event completion tokens that a waiter registers a continuation
 //     on instead of parking an OS thread.
 //
-// The control plane (fabric, raylet workers) and the data plane's morsel
-// helpers (MorselPool) all run on Reactors.
+// Every thread in src/ is a Reactor driver: the runtime's control reactor,
+// each raylet's workers, the autoscaler's ticker, and the data plane's
+// morsel helpers (MorselPool). Each Reactor has exactly one owner.
 //
 // Blocking is confined to the boundary: Reactor::RunOne (a driver's blocking
 // dequeue) and Event::BlockingWait / Reactor::BlockOn (the compatibility shim
@@ -94,9 +95,8 @@ class Reactor {
 
   // --- driver threads ---
 
-  // Spawns `n` driver threads running Run().
+  // Spawns `n` more driver threads running Run() (also how a pool grows).
   void Start(size_t n);
-  void Grow(size_t n) { Start(n); }
   // Asks `n` drivers to retire after their current item (never below one
   // running driver). Retired threads are joined at Shutdown; num_threads()
   // reflects the logical size immediately.

@@ -1,10 +1,11 @@
 // skadi::trace — low-overhead distributed tracing (DESIGN.md §12).
 //
 // The control plane is continuation chains: a Submit's work hops from the
-// driver thread to the scheduler, a raylet worker, the fabric reactor, and
-// back, so thread-based stacks say nothing about where a task's latency
-// went. Spans fix that: every unit of causal work records a TraceEvent
-// carrying (trace_id, span_id, parent_id), and the context propagates
+// driver thread to the scheduler, a raylet worker, the runtime's control
+// reactor, and back, so thread-based stacks say nothing about where a
+// task's latency went. Spans fix that: every unit of causal work records a
+// TraceEvent carrying (trace_id, span_id, parent_id), and the context
+// propagates
 //
 //   * down the stack via a thread-local Context (RAII TraceSpan),
 //   * across task submission via TaskSpec::trace_ctx (stamped by Submit,

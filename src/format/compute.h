@@ -11,9 +11,9 @@
 // range is split into morsels, workers keep thread-local partial state, and
 // partials are merged deterministically.
 //
-// The original row-at-a-time implementations are retained in the
-// skadi::reference namespace as the oracle for parity tests and as the
-// baseline for bench_kernels.
+// The original row-at-a-time implementations live outside the production
+// library, in tests/support/compute_reference.h: the oracle for parity tests
+// and the baseline for bench_kernels.
 #ifndef SRC_FORMAT_COMPUTE_H_
 #define SRC_FORMAT_COMPUTE_H_
 
@@ -105,28 +105,6 @@ Result<RecordBatch> HashJoinBatch(const RecordBatch& left, const RecordBatch& ri
 
 // First `n` rows.
 RecordBatch LimitBatch(const RecordBatch& batch, int64_t n);
-
-// Retained row-at-a-time scalar implementations (src/format/
-// compute_reference.cc). Same contracts as the vectorized kernels above,
-// including identical hash-partition assignment; used as parity oracles and
-// benchmark baselines. Do not use on hot paths.
-namespace reference {
-
-Result<RecordBatch> FilterBatch(const RecordBatch& batch, const Expr& predicate);
-
-Result<std::vector<RecordBatch>> HashPartitionBatch(
-    const RecordBatch& batch, const std::vector<std::string>& key_columns,
-    uint32_t num_partitions);
-
-Result<RecordBatch> GroupAggregateBatch(const RecordBatch& batch,
-                                        const std::vector<std::string>& group_by,
-                                        const std::vector<AggregateSpec>& aggregates);
-
-Result<RecordBatch> HashJoinBatch(const RecordBatch& left, const RecordBatch& right,
-                                  const std::vector<std::string>& left_keys,
-                                  const std::vector<std::string>& right_keys);
-
-}  // namespace reference
 
 }  // namespace skadi
 

@@ -10,7 +10,6 @@ namespace skadi {
 
 Fabric::Fabric(std::shared_ptr<Topology> topology)
     : topology_(std::move(topology)),
-      reactor_("fabric-reactor"),
       control_messages_(&metrics_.GetCounter(names::kFabricControlMessages)),
       data_transfers_(&metrics_.GetCounter(names::kFabricDataTransfers)),
       data_bytes_(&metrics_.GetCounter(names::kFabricDataBytes)) {
@@ -19,16 +18,7 @@ Fabric::Fabric(std::shared_ptr<Topology> topology)
     link_[i] = {&metrics_.GetCounter(names::kFabricMessagesPrefix + name),
                 &metrics_.GetCounter(names::kFabricBytesPrefix + name)};
   }
-  Reactor::MetricsHooks hooks;
-  hooks.dispatches = &metrics_.GetCounter(names::kFabricReactorDispatches);
-  hooks.dispatch_nanos = &metrics_.GetHistogram(names::kFabricReactorDispatchNanos);
-  hooks.timer_lag_nanos = &metrics_.GetHistogram(names::kFabricReactorTimerLagNanos);
-  hooks.ready_depth = &metrics_.GetGauge(names::kFabricReactorReadyDepth);
-  reactor_.WireMetrics(hooks);
-  reactor_.Start(1);
 }
-
-Fabric::~Fabric() { reactor_.Shutdown(); }
 
 void Fabric::Charge(NodeId src, NodeId dst, int64_t bytes) {
   const LinkCounters& link = Link(topology_->Classify(src, dst));
@@ -71,11 +61,6 @@ int64_t Fabric::TransferBytes(NodeId src, NodeId dst, int64_t bytes) {
 void Fabric::MarkDead(NodeId node) {
   MutexLock lock(mu_);
   dead_nodes_.insert(node);
-}
-
-void Fabric::Revive(NodeId node) {
-  MutexLock lock(mu_);
-  dead_nodes_.erase(node);
 }
 
 bool Fabric::IsDead(NodeId node) const {

@@ -8,11 +8,11 @@
 //   2. increments deterministic per-link-class counters (messages, bytes)
 //      that the experiment harness reports.
 //
-// The fabric carries no payloads and runs no remote code: the runtime acts
-// on the destination's state directly, in-process, and calls Control() or
-// TransferBytes() to pay for the message that would have carried it. All
-// methods are thread-safe; counter handles are resolved once, at
-// construction.
+// The fabric carries no payloads, runs no remote code and starts no thread:
+// the runtime acts on the destination's state directly, in-process, and
+// calls Control() or TransferBytes() to pay for the message that would have
+// carried it. All methods are thread-safe; counter handles are resolved
+// once, at construction.
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
 
@@ -24,7 +24,6 @@
 #include "src/common/id.h"
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
-#include "src/common/reactor.h"
 #include "src/common/status.h"
 #include "src/hw/topology.h"
 
@@ -33,17 +32,10 @@ namespace skadi {
 class Fabric {
  public:
   explicit Fabric(std::shared_ptr<Topology> topology);
-  ~Fabric();
 
   Topology& topology() { return *topology_; }
   VirtualClock& clock() { return clock_; }
   MetricsRegistry& metrics() { return metrics_; }
-
-  // The cluster's control-plane event loop: ownership-readiness
-  // continuations, single-flight completions, Get timeouts, and lost-object
-  // backoff all resolve here instead of parking OS threads. One driver
-  // thread is started at construction.
-  Reactor& reactor() { return reactor_; }
 
   // One control round trip from src to dst: charges a `request_bytes`
   // request and a zero-byte reply (two control messages, both modelled
@@ -57,7 +49,6 @@ class Fabric {
 
   // Failure injection: a dead node rejects control messages and transfers.
   void MarkDead(NodeId node);
-  void Revive(NodeId node);
   bool IsDead(NodeId node) const;
 
   // Deterministic counters, aggregated over all link classes.
@@ -80,7 +71,6 @@ class Fabric {
   std::shared_ptr<Topology> topology_;
   VirtualClock clock_;
   MetricsRegistry metrics_;
-  Reactor reactor_;
 
   // Resolved at construction; the registry keeps every handle alive.
   std::array<LinkCounters, kNumLinkClasses> link_{};

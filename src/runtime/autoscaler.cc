@@ -1,35 +1,36 @@
 #include "src/runtime/autoscaler.h"
 
-#include <chrono>
+#include <algorithm>
 
+#include "src/common/clock.h"
 #include "src/common/metric_names.h"
 
 namespace skadi {
 
-void Autoscaler::Start() {
-  if (!options_.enabled || running_.exchange(true)) {
-    return;
-  }
-  thread_ = std::thread([this] {
-    while (running_.load()) {
-      Tick();
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.tick_interval_ms));
-    }
-  });
-}
+namespace {
+// Scale up when queued tasks per worker exceed this.
+constexpr size_t kScaleUpQueuePerWorker = 2;
+}  // namespace
 
-void Autoscaler::Stop() {
-  if (!running_.exchange(false)) {
+void Autoscaler::Start() {
+  if (!options_.enabled || ticker_.num_threads() > 0) {
     return;
   }
-  if (thread_.joinable()) {
-    thread_.join();
+  {
+    MutexLock lock(mu_);
+    last_tick_nanos_ = NowNanos();
   }
+  ticker_.Start(1);
+  ticker_.Post([this] { Tick(); });
 }
 
 void Autoscaler::Tick() {
   MutexLock lock(mu_);
-  const int64_t tick_nanos = static_cast<int64_t>(options_.tick_interval_ms) * 1000000;
+  // Real time, not tick_interval_ms: the wheel fires a timer up to one wheel
+  // tick after its deadline.
+  const int64_t now = NowNanos();
+  const int64_t tick_nanos = now - last_tick_nanos_;
+  last_tick_nanos_ = now;
   for (TrackedRaylet& tracked : tracked_) {
     Raylet* raylet = tracked.raylet;
     if (raylet->dead()) {
@@ -39,15 +40,9 @@ void Autoscaler::Tick() {
     size_t queued = raylet->queue_depth();
     worker_nanos_.fetch_add(static_cast<int64_t>(workers) * tick_nanos);
 
-    if (queued > 0 &&
-        static_cast<double>(queued) >
-            options_.scale_up_queue_per_worker * static_cast<double>(workers) &&
-        workers < options_.max_workers) {
-      size_t grow = std::min(options_.max_workers - workers,
-                             queued / static_cast<size_t>(options_.scale_up_queue_per_worker));
-      if (grow == 0) {
-        grow = 1;
-      }
+    if (queued > kScaleUpQueuePerWorker * workers && workers < options_.max_workers) {
+      const size_t grow = std::min(options_.max_workers - workers,
+                                   std::max<size_t>(1, queued / kScaleUpQueuePerWorker));
       raylet->GrowWorkers(grow);
       scale_ups_.fetch_add(static_cast<int64_t>(grow));
       metrics_->GetCounter(names::kAutoscalerScaleUps).Add(static_cast<int64_t>(grow));
@@ -68,6 +63,8 @@ void Autoscaler::Tick() {
       tracked.idle_ticks = 0;
     }
   }
+  ticker_.ScheduleAfter(static_cast<int64_t>(options_.tick_interval_ms) * 1000000,
+                        [this] { Tick(); });
 }
 
 }  // namespace skadi

@@ -77,7 +77,7 @@ class Raylet {
 
   size_t queue_depth() const { return workers_.ready_count(); }
   size_t num_workers() const { return workers_.num_threads(); }
-  void GrowWorkers(size_t n) { workers_.Grow(n); }
+  void GrowWorkers(size_t n) { workers_.Start(n); }
   void ShrinkWorkers(size_t n) { workers_.Shrink(n); }
 
   int64_t tasks_executed() const { return tasks_executed_.load(); }

@@ -11,7 +11,7 @@
 
 namespace skadi {
 
-// Resolves one future as a chain of continuations on the fabric reactor.
+// Resolves one future as a chain of continuations on the control reactor.
 //
 // Lifecycle: heap-allocated via shared_ptr; every registered continuation
 // (ownership watcher, retry timer, deadline timer, cache fetch callback)
@@ -51,7 +51,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
                                    : names::kSpanRuntimeResolveArg,
                                trace::CurrentContext())) {}
 
-  Reactor& reactor() { return rt_->cluster_->fabric().reactor(); }
+  Reactor& reactor() { return rt_->control_; }
 
   void Start() {
     auto self = shared_from_this();
@@ -65,7 +65,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
         reactor().Cancel(t);  // finished before the timer id landed
       }
     }
-    // A stopped reactor (cluster tear-down race) returns t == 0: no deadline
+    // A stopped reactor (runtime tear-down race) returns t == 0: no deadline
     // timer, but Step's inline deadline check plus the caller's bounded
     // BlockOn still guarantee termination.
     Step();
@@ -192,15 +192,22 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
 SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
                            RuntimeOptions options)
     : cluster_(cluster), registry_(registry), options_(options) {
+  Reactor::MetricsHooks hooks;
+  hooks.dispatches = &metrics().GetCounter(names::kFabricReactorDispatches);
+  hooks.dispatch_nanos = &metrics().GetHistogram(names::kFabricReactorDispatchNanos);
+  hooks.timer_lag_nanos = &metrics().GetHistogram(names::kFabricReactorTimerLagNanos);
+  hooks.ready_depth = &metrics().GetGauge(names::kFabricReactorReadyDepth);
+  control_.WireMetrics(hooks);
+  control_.Start(1);
+
   // Every node gets an ownership table; every node that can run tasks also
   // gets a raylet.
   std::vector<SchedulableNode> schedulable;
   for (const ClusterNode& node : cluster_->nodes()) {
-    ownership_[node.id] =
-        std::make_unique<OwnershipTable>(node.id, options_.control_plane_shards);
+    ownership_[node.id] = std::make_unique<OwnershipTable>(node.id);
     // Ownership watchers (GetOp chains, WaitReady wake-ups) run on the
-    // fabric reactor instead of the state-flipping thread.
-    ownership_[node.id]->set_reactor(&cluster_->fabric().reactor());
+    // control reactor instead of the state-flipping thread.
+    ownership_[node.id]->set_reactor(&control_);
     if (!node.is_compute()) {
       continue;
     }
@@ -231,7 +238,7 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
   scheduler_ = std::make_unique<Scheduler>(
       &cluster_->cache(), &metrics(), options_.policy,
       [this](const TaskSpec& spec, NodeId target) { return DispatchToNode(spec, target); },
-      options_.seed, SchedulerOptions{options_.control_plane_shards});
+      options_.seed);
   scheduler_->SetNodes(std::move(schedulable));
 
   if (options_.futures == FutureProtocol::kPush) {
@@ -282,8 +289,9 @@ void SkadiRuntime::Shutdown() {
   // on) can leave ops with armed watcher/backoff continuations that hold a
   // raw pointer to this runtime. Cancel them — every later continuation
   // then early-outs on the op's own finished_ flag without touching the
-  // runtime — and drain the fabric reactor so a continuation already past
-  // that check completes before members are destroyed.
+  // runtime — and shut the control reactor down, which drains its queue and
+  // joins its driver, so a continuation already past that check completes
+  // before members are destroyed.
   std::vector<std::shared_ptr<GetOp>> live;
   {
     MutexLock lock(ops_mu_);
@@ -297,12 +305,7 @@ void SkadiRuntime::Shutdown() {
   for (auto& op : live) {
     op->Finish(Status::Unavailable("runtime shutting down"));
   }
-  auto drained = std::make_shared<Event>();
-  if (cluster_->fabric().reactor().Post([drained] { drained->Set(); })) {
-    (void)drained->BlockingWait(NowNanos() + 1'000'000'000);
-  }
-  // Post returning false means the reactor is already stopped: nothing can
-  // fire a continuation anymore, so tear-down is safe without the barrier.
+  control_.Shutdown();
 }
 
 void SkadiRuntime::RegisterOp(const std::shared_ptr<GetOp>& op) {
@@ -491,12 +494,12 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
 
   // Pull protocol: a costed control round trip to the owner's ownership
   // table, then an on-demand data transfer. The wait itself is an arg-mode
-  // GetOp on the fabric reactor (lost objects retry on a wheel timer, not a
+  // GetOp on the control reactor (lost objects retry on a wheel timer, not a
   // sleep loop); this worker thread parks on the completion Event.
   ControlMessage(at, ref.owner);
   metrics().GetCounter(names::kRuntimePullResolutions).Increment();
 
-  const int64_t timeout_ms = options_.default_get_timeout_ms;
+  const int64_t timeout_ms = kDefaultGetTimeoutMs;
   auto ev = std::make_shared<Event>();
   auto result = std::make_shared<Result<Buffer>>(
       Status::Internal("argument resolution never completed"));
@@ -510,8 +513,7 @@ Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& sp
   op->Start();
   // Belt-and-suspenders bound: GetOp's deadline timer fires first in every
   // non-shutdown schedule; the slack covers a stopped reactor.
-  cluster_->fabric().reactor().BlockOn(
-      *ev, NowNanos() + (timeout_ms + 100) * 1'000'000);
+  control_.BlockOn(*ev, NowNanos() + (timeout_ms + 100) * 1'000'000);
   if (!ev->is_set()) {
     return Status::DeadlineExceeded("object " + ref.id.ToString() +
                                     " still pending after " +
@@ -633,7 +635,7 @@ void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId a
 
 Result<Buffer> SkadiRuntime::Get(const ObjectRef& ref, int64_t timeout_ms) {
   if (timeout_ms < 0) {
-    timeout_ms = options_.default_get_timeout_ms;
+    timeout_ms = kDefaultGetTimeoutMs;
   }
   auto ev = std::make_shared<Event>();
   auto result =
@@ -645,8 +647,7 @@ Result<Buffer> SkadiRuntime::Get(const ObjectRef& ref, int64_t timeout_ms) {
            },
            timeout_ms);
   // See ResolveArg for the bounded-BlockOn rationale.
-  cluster_->fabric().reactor().BlockOn(*ev,
-                                       NowNanos() + (timeout_ms + 100) * 1'000'000);
+  control_.BlockOn(*ev, NowNanos() + (timeout_ms + 100) * 1'000'000);
   if (!ev->is_set()) {
     return Status::DeadlineExceeded("Get(" + ref.ToString() + ") timed out");
   }
@@ -656,12 +657,12 @@ Result<Buffer> SkadiRuntime::Get(const ObjectRef& ref, int64_t timeout_ms) {
 Result<std::vector<Buffer>> SkadiRuntime::GetAll(const std::vector<ObjectRef>& refs,
                                                  int64_t timeout_ms) {
   if (timeout_ms < 0) {
-    timeout_ms = options_.default_get_timeout_ms;
+    timeout_ms = kDefaultGetTimeoutMs;
   }
   if (refs.empty()) {
     return std::vector<Buffer>();
   }
-  // Fan out one GetOp per ref on the fabric reactor and park once on a
+  // Fan out one GetOp per ref on the control reactor and park once on a
   // shared countdown: N concurrent resolutions, one blocking wait. Sinks
   // gathering many partitions resolve in resolution order rather than
   // serially in index order (the old Get-in-a-loop shim).
@@ -685,8 +686,7 @@ Result<std::vector<Buffer>> SkadiRuntime::GetAll(const std::vector<ObjectRef>& r
              timeout_ms);
   }
   // See ResolveArg for the bounded-BlockOn rationale.
-  cluster_->fabric().reactor().BlockOn(
-      state->done, NowNanos() + (timeout_ms + 100) * 1'000'000);
+  control_.BlockOn(state->done, NowNanos() + (timeout_ms + 100) * 1'000'000);
   if (!state->done.is_set()) {
     return Status::DeadlineExceeded("GetAll(" + std::to_string(refs.size()) +
                                     " refs) timed out");
@@ -706,7 +706,7 @@ void SkadiRuntime::GetAsync(const ObjectRef& ref,
                             std::function<void(Result<Buffer>)> done,
                             int64_t timeout_ms) {
   if (timeout_ms < 0) {
-    timeout_ms = options_.default_get_timeout_ms;
+    timeout_ms = kDefaultGetTimeoutMs;
   }
   auto op = std::make_shared<GetOp>(this, GetOp::Mode::kDriverGet, ref,
                                     cluster_->head(), timeout_ms, std::move(done));
@@ -715,7 +715,7 @@ void SkadiRuntime::GetAsync(const ObjectRef& ref,
 
 Status SkadiRuntime::Wait(const std::vector<ObjectRef>& refs, int64_t timeout_ms) {
   if (timeout_ms < 0) {
-    timeout_ms = options_.default_get_timeout_ms;
+    timeout_ms = kDefaultGetTimeoutMs;
   }
   const int64_t deadline = NowNanos() + timeout_ms * 1000000;
   for (const ObjectRef& ref : refs) {

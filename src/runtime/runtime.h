@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/mutex.h"
+#include "src/common/reactor.h"
 #include "src/net/push_batcher.h"
 #include "src/ownership/ownership_table.h"
 #include "src/runtime/autoscaler.h"
@@ -44,12 +45,6 @@ struct RuntimeOptions {
   RecoveryMode recovery = RecoveryMode::kLineage;
   AutoscalerOptions autoscaler;
   uint64_t seed = 17;
-  // Resolve-side timeout for pull-mode argument waits and driver Gets.
-  int64_t default_get_timeout_ms = 30000;
-  // Shard count for the sharded control-plane structures (ownership tables,
-  // scheduler dependency/park/task maps; DESIGN.md §13). 1 = the single-lock
-  // baseline bench_control_plane compares against.
-  int control_plane_shards = 8;
   // Push mode: coalesce same-destination resolution pushes into one fabric
   // message per flush instead of one per (object, consumer) pair.
   bool batch_pushes = true;
@@ -57,6 +52,10 @@ struct RuntimeOptions {
 
 class SkadiRuntime {
  public:
+  // Resolve-side timeout for pull-mode argument waits and for driver Gets
+  // and Waits called with timeout_ms < 0.
+  static constexpr int64_t kDefaultGetTimeoutMs = 30000;
+
   SkadiRuntime(Cluster* cluster, FunctionRegistry* registry, RuntimeOptions options = {});
   ~SkadiRuntime();
 
@@ -78,20 +77,20 @@ class SkadiRuntime {
 
   // Blocks until the future resolves; fetches the value to the head node.
   // A drain-loop shim over GetAsync: parks on an Event (helping drive the
-  // fabric reactor when called from one of its driver threads).
+  // control reactor when called from its driver thread).
   Result<Buffer> Get(const ObjectRef& ref, int64_t timeout_ms = -1);
 
   // Continuation form of Get: never parks the calling thread. `done` runs
   // inline when the future is already resolved (or fails fast), otherwise on
-  // the fabric reactor when the owner flips the object's state. Lost objects
+  // the control reactor when the owner flips the object's state. Lost objects
   // under lineage recovery re-arm a reactor timer (capped exponential
   // backoff) instead of sleeping. Requires a live cluster; timeout_ms < 0
-  // means options().default_get_timeout_ms.
+  // means kDefaultGetTimeoutMs.
   void GetAsync(const ObjectRef& ref, std::function<void(Result<Buffer>)> done,
                 int64_t timeout_ms = -1);
 
   // Resolves many futures concurrently: one GetAsync per ref fanned out on
-  // the fabric reactor, one park for the whole set. Results are positional.
+  // the control reactor, one park for the whole set. Results are positional.
   // Fails with the first non-OK resolution (after all ops settle).
   Result<std::vector<Buffer>> GetAll(const std::vector<ObjectRef>& refs,
                                      int64_t timeout_ms = -1);
@@ -129,8 +128,9 @@ class SkadiRuntime {
   int64_t control_hops() const;
 
   // Stops the autoscaler, drains all raylets, cancels outstanding
-  // future-resolution ops, and drains the fabric reactor so no continuation
-  // left behind by an abandoned bounded wait touches freed runtime state.
+  // future-resolution ops, then shuts down the control reactor (drain and
+  // join) so no continuation left behind by an abandoned bounded wait
+  // touches freed runtime state.
   void Shutdown();
 
  private:
@@ -170,6 +170,12 @@ class SkadiRuntime {
   Cluster* cluster_;
   FunctionRegistry* registry_;
   RuntimeOptions options_;
+
+  // The control plane's event loop, with one driver: ownership watchers,
+  // GetOp deadline and backoff timers, and the blocking shims' drain loop.
+  // Wired to the fabric.reactor.* metrics. Declared before the ownership
+  // tables that point at it, so it outlives them.
+  Reactor control_{"control"};
 
   std::unique_ptr<Scheduler> scheduler_;
   // Push mode's one delivery path (null in pull mode): coalesces

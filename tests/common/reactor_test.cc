@@ -388,7 +388,7 @@ TEST(ReactorTest, EventOutlivingReactorAfterBlockOnTimeoutIsSafe) {
 TEST(ReactorTest, GrowAndShrinkAdjustLogicalSize) {
   Reactor r("test");
   r.Start(1);
-  r.Grow(3);
+  r.Start(3);
   EXPECT_EQ(r.num_threads(), 4u);
   r.Shrink(2);
   EXPECT_EQ(r.num_threads(), 2u);

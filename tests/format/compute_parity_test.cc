@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "tests/support/compute_reference.h"
 
 namespace skadi {
 namespace {

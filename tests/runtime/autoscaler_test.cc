@@ -117,6 +117,33 @@ TEST_F(AutoscalerTest, TracksWorkerTime) {
   raylet_->Shutdown();
 }
 
+// Stop shuts the ticker down: once it returns no Tick runs, so nothing the
+// ticks feed moves, even with a backlog still queued.
+TEST_F(AutoscalerTest, NoTickAfterStop) {
+  AutoscalerOptions options;
+  options.enabled = true;
+  options.max_workers = 4;
+  options.tick_interval_ms = 2;
+  Autoscaler autoscaler(options, &metrics_);
+  autoscaler.Register(raylet_.get());
+  autoscaler.Start();
+  EnqueueHolds(12);
+  for (int i = 0; i < 500 && autoscaler.scale_ups() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  autoscaler.Stop();
+  const int64_t worker_nanos = autoscaler.worker_nanos();
+  const int64_t scale_ups = autoscaler.scale_ups();
+  const int64_t scale_downs = autoscaler.scale_downs();
+  EXPECT_GT(worker_nanos, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10 * options.tick_interval_ms));
+  EXPECT_EQ(autoscaler.worker_nanos(), worker_nanos);
+  EXPECT_EQ(autoscaler.scale_ups(), scale_ups);
+  EXPECT_EQ(autoscaler.scale_downs(), scale_downs);
+  hold_.store(false);
+  raylet_->Shutdown();
+}
+
 TEST_F(AutoscalerTest, RespectsMaxWorkers) {
   AutoscalerOptions options;
   options.enabled = true;

@@ -2,8 +2,37 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 namespace skadi {
 namespace {
+
+// This process's OS thread count, from /proc/self/status.
+int ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+// The fabric and the caching layer only account, so building a cluster,
+// device complex and memory blade included, starts no thread; the threads
+// arrive with a runtime built over it.
+TEST(ClusterTest, CreateStartsNoThread) {
+  const int before = ThreadCount();
+  ASSERT_GT(before, 0);
+  ClusterConfig config;
+  config.device_complexes = 1;
+  config.memory_blades = 1;
+  auto cluster = Cluster::Create(config);
+  ASSERT_NE(cluster, nullptr);
+  EXPECT_EQ(ThreadCount(), before);
+}
 
 TEST(ClusterTest, DefaultConfigBuildsServersAndDurable) {
   ClusterConfig config;

@@ -437,6 +437,56 @@ TEST_F(RuntimeTest, GetAllPropagatesFirstFailure) {
   EXPECT_FALSE(buffers.ok());
 }
 
+// A continuation running on the control reactor's only driver may call the
+// blocking Get: it must drive that reactor while it waits, because the
+// watcher that resolves the nested future is posted to the same driver.
+TEST_F(RuntimeTest, GetInsideGetAsyncContinuation) {
+  Build();
+  auto gated = [](std::shared_ptr<std::atomic<bool>> open, int64_t value) {
+    return [open, value](TaskContext&, std::vector<Buffer>&) -> Result<std::vector<Buffer>> {
+      while (!open->load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return std::vector<Buffer>{I64Buffer(value)};
+    };
+  };
+  auto open_first = std::make_shared<std::atomic<bool>>(false);
+  auto open_second = std::make_shared<std::atomic<bool>>(false);
+  ASSERT_TRUE(registry_.Register("gated_first", gated(open_first, 1)).ok());
+  ASSERT_TRUE(registry_.Register("gated_second", gated(open_second, 2)).ok());
+  auto first = runtime_->Submit(Call("gated_first", {}));
+  auto second = runtime_->Submit(Call("gated_second", {}));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+
+  struct Nested {
+    std::atomic<bool> entered{false};
+    Result<Buffer> value{Status::Internal("nested Get never returned")};
+    Event done;
+  };
+  auto nested = std::make_shared<Nested>();
+  SkadiRuntime* runtime = runtime_.get();
+  const ObjectRef second_ref = (*second)[0];
+  // The first output is still pending, so the continuation runs later, from
+  // the ownership watcher posted to the control reactor.
+  runtime_->GetAsync((*first)[0], [nested, runtime, second_ref](Result<Buffer> r) {
+    nested->entered.store(true);
+    nested->value = r.ok() ? runtime->Get(second_ref, 10000) : r;
+    nested->done.Set();
+  });
+  open_first->store(true);
+  for (int i = 0; i < 5000 && !nested->entered.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(nested->entered.load());
+  // Release the second task only after the continuation has entered, so the
+  // nested Get waits for it on the control reactor's driver.
+  open_second->store(true);
+  ASSERT_TRUE(nested->done.BlockingWait(NowNanos() + 20'000'000'000));
+  ASSERT_TRUE(nested->value.ok()) << nested->value.status().ToString();
+  EXPECT_EQ(I64Of(*nested->value), 2);
+}
+
 TEST_F(RuntimeTest, LocalityPolicyPlacesComputeAtData) {
   RuntimeOptions options;
   options.policy = SchedulingPolicy::kLocalityAware;
@@ -516,6 +566,31 @@ TEST_F(RuntimeTest, IncompleteGangStaysParked) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(runtime_->Wait({(*r)[0]}, 100).code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(runtime_->scheduler().pending_tasks(), 1u);
+}
+
+// A GetAsync nobody waits on, for an output that never becomes ready (an
+// incomplete gang member stays parked): destroying the runtime runs its
+// continuation exactly once, with kUnavailable, before the destructor
+// returns.
+TEST_F(RuntimeTest, DestroyingRuntimeFinishesAbandonedGetAsync) {
+  Build();
+  TaskSpec spec = Call("inc_i64", {TaskArg::Value(I64Buffer(0))});
+  spec.gang_group = "lonely";
+  spec.gang_size = 3;
+  auto r = runtime_->Submit(std::move(spec));
+  ASSERT_TRUE(r.ok());
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  auto code = std::make_shared<std::atomic<StatusCode>>(StatusCode::kOk);
+  runtime_->GetAsync((*r)[0],
+                     [calls, code](Result<Buffer> result) {
+                       code->store(result.status().code());
+                       calls->fetch_add(1);
+                     },
+                     /*timeout_ms=*/60000);
+  EXPECT_EQ(calls->load(), 0);
+  runtime_.reset();
+  EXPECT_EQ(calls->load(), 1);
+  EXPECT_EQ(code->load(), StatusCode::kUnavailable);
 }
 
 struct CounterState {

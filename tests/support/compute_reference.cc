@@ -7,8 +7,8 @@
 #include <unordered_map>
 
 #include "src/common/hash.h"
-#include "src/format/compute.h"
 #include "src/format/row_hash.h"
+#include "tests/support/compute_reference.h"
 
 namespace skadi {
 namespace reference {

@@ -12,6 +12,13 @@ Checks:
                     std::lock_guard / std::unique_lock anywhere but the
                     annotated wrappers in src/common/mutex.{h,cc}. Escape
                     hatch: `// lint:allow raw-mutex (<reason>)`.
+  raw-thread        std::thread / std::jthread (std::thread::
+                    hardware_concurrency is fine), std::async, and
+                    std::this_thread::sleep_for / sleep_until in src/
+                    anywhere but src/common/reactor.{h,cc}. Every thread in
+                    src/ is a Reactor driver and a periodic task is a
+                    Reactor timer, so one loop can drive them all. Escape
+                    hatch: `// lint:allow raw-thread (<reason>)`.
   guarded-by        every `Mutex foo_;` member must be named by a
                     GUARDED_BY / PT_GUARDED_BY / REQUIRES / ACQUIRE /
                     RELEASE annotation in the same file — adding a lock
@@ -74,6 +81,12 @@ RAW_MUTEX_ALLOWED = {
     os.path.join("src", "common", "thread_annotations.h"),
 }
 
+# The one file pair that may spawn and park threads: the Reactor itself.
+RAW_THREAD_ALLOWED = {
+    os.path.join("src", "common", "reactor.h"),
+    os.path.join("src", "common", "reactor.cc"),
+}
+
 ALLOW_RE = re.compile(r"//\s*lint:allow\s+([a-z-]+)")
 
 # Analyzer escape hatches (tools/analyze/): both must carry a reason.
@@ -86,6 +99,8 @@ RULE_DOCS = {
     "include-guard": "headers need #pragma once or a classic include guard",
     "naked-new": "no naked new/delete outside smart-pointer wrappers",
     "raw-mutex": "use skadi::Mutex/CondVar, not std primitives",
+    "raw-thread": "no std::thread/jthread/async/sleep_for/sleep_until in "
+                  "src/ outside the Reactor",
     "guarded-by": "every Mutex member must be named by a GUARDED_BY/"
                   "REQUIRES annotation in its file",
     "sharded-map": "unordered_map members in sharded control-plane headers "
@@ -116,6 +131,9 @@ SMART_WRAP_RE = re.compile(
 RAW_MUTEX_RE = re.compile(
     r"std::(mutex|timed_mutex|recursive_mutex|shared_mutex|condition_variable(?:_any)?|"
     r"lock_guard|unique_lock|scoped_lock|shared_lock)\b")
+RAW_THREAD_RE = re.compile(
+    r"\bstd::(?:j?thread\b(?!\s*::\s*hardware_concurrency)|async\b|"
+    r"this_thread\s*::\s*sleep_(?:for|until)\b)")
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:skadi::)?(?:Debug)?Mutex\s+(\w+)\s*;")
 GUARD_ANNOT_RE = re.compile(r"\b(GUARDED_BY|PT_GUARDED_BY|REQUIRES|ACQUIRE|RELEASE)\s*\(")
@@ -222,6 +240,8 @@ class Linter:
         self.check_naked_new(path, raw_lines, lines)
         if rel not in RAW_MUTEX_ALLOWED:
             self.check_raw_mutex(path, raw_lines, lines)
+        if rel.startswith("src" + os.sep) and rel not in RAW_THREAD_ALLOWED:
+            self.check_raw_thread(path, raw_lines, lines)
         if path.endswith(HEADER_EXTS):
             self.check_guarded_by(path, raw_lines, lines)
         if rel in SHARDED_MAP_FILES:
@@ -270,6 +290,17 @@ class Linter:
                 self.report(path, i, "raw-mutex",
                             f"direct use of {m.group(0)}; use skadi::Mutex / "
                             "MutexLock / CondVar from src/common/mutex.h")
+
+    def check_raw_thread(self, path, raw_lines, lines):
+        for i, line in enumerate(lines, 1):
+            if line_allows(raw_lines[i - 1], "raw-thread"):
+                continue
+            m = RAW_THREAD_RE.search(line)
+            if m:
+                self.report(path, i, "raw-thread",
+                            f"direct use of {m.group(0)}; run the work on a "
+                            "Reactor (Start / Post / ScheduleAfter) — or "
+                            "annotate `// lint:allow raw-thread (reason)`")
 
     def check_guarded_by(self, path, raw_lines, lines):
         # Per-mutex: each `Mutex foo_;` member must be referenced by a
