@@ -4,6 +4,8 @@
 #include <limits>
 #include <utility>
 
+#include "src/common/logging.h"
+
 namespace skadi {
 
 namespace {
@@ -307,6 +309,10 @@ void Reactor::Shutdown() {
     to_join.swap(threads_);
   }
   for (std::thread& t : to_join) {
+    // join() would throw on the calling thread itself; name the reactor
+    // instead (e.g. a runtime destroyed from its own control reactor).
+    SKADI_CHECK(t.get_id() != std::this_thread::get_id())
+        << "reactor '" << name_ << "' shut down from one of its own drivers";
     t.join();
   }
   num_threads_.store(0, std::memory_order_relaxed);

@@ -144,7 +144,8 @@ class Reactor {
   void WireMetrics(const MetricsHooks& hooks);
 
   // Stops accepting work, drains the ready-queue, drops pending timers,
-  // joins drivers. Idempotent.
+  // joins drivers. Idempotent. Must not run on one of this reactor's own
+  // driver threads, which cannot join themselves (a fatal check).
   void Shutdown();
 
  private:

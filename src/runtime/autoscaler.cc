@@ -20,8 +20,11 @@ void Autoscaler::Start() {
     MutexLock lock(mu_);
     last_tick_nanos_ = NowNanos();
   }
-  ticker_.Start(1);
-  ticker_.Post([this] { Tick(); });
+  // Post fails once Stop has shut the ticker down; then no driver is
+  // started for a Tick that could never run.
+  if (ticker_.Post([this] { Tick(); })) {
+    ticker_.Start(1);
+  }
 }
 
 void Autoscaler::Tick() {

@@ -38,10 +38,11 @@ class Autoscaler {
     tracked_.push_back(TrackedRaylet{raylet, 0});
   }
 
-  // Starts the ticker's driver and the first Tick; a no-op when disabled or
-  // already started.
+  // Starts the ticker's driver and the first Tick; a no-op when disabled,
+  // already started or stopped.
   void Start();
   // Shuts the ticker down (drain and join): no Tick runs after Stop returns.
+  // Stop is final; a later Start does nothing.
   void Stop() { ticker_.Shutdown(); }
 
   int64_t scale_ups() const { return scale_ups_.load(); }

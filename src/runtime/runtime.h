@@ -130,7 +130,10 @@ class SkadiRuntime {
   // Stops the autoscaler, drains all raylets, cancels outstanding
   // future-resolution ops, then shuts down the control reactor (drain and
   // join) so no continuation left behind by an abandoned bounded wait
-  // touches freed runtime state.
+  // touches freed runtime state. Shutdown (and so ~SkadiRuntime) joins the
+  // runtime's threads: never call it from one of them — a GetAsync
+  // continuation on the control reactor, a task body or the autoscaler.
+  // Reactor::Shutdown fails a check rather than join its own driver.
   void Shutdown();
 
  private:

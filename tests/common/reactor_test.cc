@@ -496,6 +496,26 @@ TEST(ReactorTest, RunOneReturnsFalseAfterShutdown) {
   EXPECT_TRUE(got_false.load());
 }
 
+// Out-of-line so ASSERT_DEATH's statement has no macro-hostile commas.
+void ShutDownFromOwnDriver() {
+  Reactor r("selfjoin");
+  r.Start(1);
+  Event done;
+  r.Post([&] {
+    r.Shutdown();
+    done.Set();
+  });
+  done.BlockingWait(NowNanos() + 5'000 * kMs);
+}
+
+// A driver cannot join itself: Shutdown from one of the reactor's own
+// continuations fails a check naming the reactor instead of throwing from
+// std::thread::join.
+TEST(ReactorDeathTest, ShutdownFromOwnDriverAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_DEATH(ShutDownFromOwnDriver(), "reactor 'selfjoin' shut down from one of its own drivers");
+}
+
 TEST(ReactorTest, StressManyOutstandingFutures) {
   // 100k outstanding Events resolved by wheel timers on a bounded driver
   // pool — the tentpole claim in miniature (the full version with latency

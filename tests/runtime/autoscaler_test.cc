@@ -144,6 +144,22 @@ TEST_F(AutoscalerTest, NoTickAfterStop) {
   raylet_->Shutdown();
 }
 
+// Stop is final: a Start after it ticks no more.
+TEST_F(AutoscalerTest, StartAfterStopDoesNotTick) {
+  AutoscalerOptions options;
+  options.enabled = true;
+  options.tick_interval_ms = 2;
+  Autoscaler autoscaler(options, &metrics_);
+  autoscaler.Register(raylet_.get());
+  autoscaler.Start();
+  autoscaler.Stop();
+  const int64_t worker_nanos = autoscaler.worker_nanos();
+  autoscaler.Start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10 * options.tick_interval_ms));
+  EXPECT_EQ(autoscaler.worker_nanos(), worker_nanos);
+  raylet_->Shutdown();
+}
+
 TEST_F(AutoscalerTest, RespectsMaxWorkers) {
   AutoscalerOptions options;
   options.enabled = true;
