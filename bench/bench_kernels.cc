@@ -12,6 +12,9 @@
 //           implementations with one heap string key per row)
 //   mode 1  vectorized, single thread (ComputeOptions default)
 //   mode 2  vectorized + morsel parallel, 4 threads
+// The *Wide group-by and join rows spread the same keys over 2^50 (key x
+// 2^40), so the key index takes its open-addressing path instead of direct
+// slots (src/format/compute.cc).
 // Counters: rows_per_sec (throughput), key_allocs_avoided (deterministic:
 // per-row key strings the reference would have materialized).
 //
@@ -20,6 +23,7 @@
 // the morsel pool without paying full benchmark time.
 #include <cstdlib>
 #include <map>
+#include <tuple>
 #include <utility>
 
 #include "bench/bench_util.h"
@@ -34,6 +38,8 @@ bool SmokeMode() { return std::getenv("SKADI_BENCH_SMOKE") != nullptr; }
 constexpr int64_t kGroupCardinality = 1000;
 constexpr int64_t kPartitionCardinality = 100000;
 constexpr uint32_t kNumPartitions = 16;
+// Wide rows multiply every key by this: 1000 keys spread over 2^50.
+constexpr int64_t kWideKeyStride = int64_t{1} << 40;
 
 // Mode 2's thread budget; the global morsel pool has >= 4 helper threads.
 ComputeOptions MorselOptions() {
@@ -42,22 +48,37 @@ ComputeOptions MorselOptions() {
   return options;
 }
 
-// Input batches are deterministic in (rows, cardinality) and reused across
-// benchmarks; registration and runs are single-threaded.
-const RecordBatch& KeyValueBatch(int64_t rows, int64_t cardinality) {
-  static std::map<std::pair<int64_t, int64_t>, RecordBatch> cache;
-  auto key = std::make_pair(rows, cardinality);
+// `batch` with its "key" column multiplied by kWideKeyStride.
+RecordBatch WidenKeys(const RecordBatch& batch) {
+  std::vector<int64_t> keys = batch.ColumnByName("key")->ints().ToVector();
+  for (int64_t& k : keys) {
+    k *= kWideKeyStride;
+  }
+  std::vector<Column> columns;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    columns.push_back(batch.schema().field(c).name == "key" ? Column::MakeInt64(keys)
+                                                            : batch.column(c));
+  }
+  return RecordBatch::Make(batch.schema(), std::move(columns)).value();
+}
+
+// Input batches are deterministic in (rows, cardinality, wide) and reused
+// across benchmarks; registration and runs are single-threaded.
+const RecordBatch& KeyValueBatch(int64_t rows, int64_t cardinality, bool wide = false) {
+  static std::map<std::tuple<int64_t, int64_t, bool>, RecordBatch> cache;
+  auto key = std::make_tuple(rows, cardinality, wide);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    it = cache.emplace(key, MakeKeyValueBatch(rows, cardinality, /*seed=*/42)).first;
+    RecordBatch batch = MakeKeyValueBatch(rows, cardinality, /*seed=*/42);
+    it = cache.emplace(key, wide ? WidenKeys(batch) : batch).first;
   }
   return it->second;
 }
 
 // Dimension-table build side for the join: one row per key in [0, card).
-const RecordBatch& DimBatch(int64_t cardinality) {
-  static std::map<int64_t, RecordBatch> cache;
-  auto it = cache.find(cardinality);
+const RecordBatch& DimBatch(int64_t cardinality, bool wide = false) {
+  static std::map<std::pair<int64_t, bool>, RecordBatch> cache;
+  auto it = cache.find({cardinality, wide});
   if (it == cache.end()) {
     ColumnBuilder keys(DataType::kInt64);
     ColumnBuilder attrs(DataType::kFloat64);
@@ -66,8 +87,9 @@ const RecordBatch& DimBatch(int64_t cardinality) {
       attrs.AppendFloat64(static_cast<double>(k) * 0.5);
     }
     Schema schema({{"key", DataType::kInt64}, {"dim_value", DataType::kFloat64}});
-    auto batch = RecordBatch::Make(schema, {keys.Finish(), attrs.Finish()});
-    it = cache.emplace(cardinality, std::move(batch).value()).first;
+    RecordBatch batch = RecordBatch::Make(schema, {keys.Finish(), attrs.Finish()}).value();
+    it = cache.emplace(std::make_pair(cardinality, wide), wide ? WidenKeys(batch) : batch)
+             .first;
   }
   return it->second;
 }
@@ -124,10 +146,10 @@ BENCHMARK(BM_KernelFilter)->Apply([](benchmark::internal::Benchmark* b) {
   KernelArgs(b, {100000, 1000000, 4000000});
 });
 
-void BM_KernelGroupBy(benchmark::State& state) {
+void RunGroupBy(benchmark::State& state, bool wide) {
   const int64_t rows = state.range(0);
   const int mode = static_cast<int>(state.range(1));
-  const RecordBatch& batch = KeyValueBatch(rows, kGroupCardinality);
+  const RecordBatch& batch = KeyValueBatch(rows, kGroupCardinality, wide);
   const std::vector<std::string> keys = {"key"};
   const std::vector<AggregateSpec> aggs = {{AggKind::kCount, "", "n"},
                                            {AggKind::kSum, "value", "total"},
@@ -145,15 +167,22 @@ void BM_KernelGroupBy(benchmark::State& state) {
   }
   SetKernelCounters(state, rows, /*allocs_avoided=*/rows);
 }
+
+void BM_KernelGroupBy(benchmark::State& state) { RunGroupBy(state, /*wide=*/false); }
 BENCHMARK(BM_KernelGroupBy)->Apply([](benchmark::internal::Benchmark* b) {
   KernelArgs(b, {100000, 2000000});
 });
 
-void BM_KernelJoin(benchmark::State& state) {
+void BM_KernelGroupByWide(benchmark::State& state) { RunGroupBy(state, /*wide=*/true); }
+BENCHMARK(BM_KernelGroupByWide)->Apply([](benchmark::internal::Benchmark* b) {
+  KernelArgs(b, {100000, 2000000});
+});
+
+void RunJoin(benchmark::State& state, bool wide) {
   const int64_t rows = state.range(0);
   const int mode = static_cast<int>(state.range(1));
-  const RecordBatch& left = KeyValueBatch(rows, kGroupCardinality);
-  const RecordBatch& right = DimBatch(kGroupCardinality);
+  const RecordBatch& left = KeyValueBatch(rows, kGroupCardinality, wide);
+  const RecordBatch& right = DimBatch(kGroupCardinality, wide);
   const std::vector<std::string> keys = {"key"};
   for (auto _ : state) {
     auto out = mode == 0 ? reference::HashJoinBatch(left, right, keys, keys)
@@ -168,7 +197,14 @@ void BM_KernelJoin(benchmark::State& state) {
   }
   SetKernelCounters(state, rows, /*allocs_avoided=*/rows + kGroupCardinality);
 }
+
+void BM_KernelJoin(benchmark::State& state) { RunJoin(state, /*wide=*/false); }
 BENCHMARK(BM_KernelJoin)->Apply([](benchmark::internal::Benchmark* b) {
+  KernelArgs(b, {100000, 1000000});
+});
+
+void BM_KernelJoinWide(benchmark::State& state) { RunJoin(state, /*wide=*/true); }
+BENCHMARK(BM_KernelJoinWide)->Apply([](benchmark::internal::Benchmark* b) {
   KernelArgs(b, {100000, 1000000});
 });
 

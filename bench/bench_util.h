@@ -14,6 +14,14 @@
 
 namespace skadi {
 
+// Records the CMAKE_BUILD_TYPE this binary was compiled with as
+// "skadi_build_type" in google-benchmark's JSON context (the context's own
+// "library_build_type" describes the installed benchmark library).
+inline const bool kBuildTypeStamped = [] {
+  benchmark::AddCustomContext("skadi_build_type", SKADI_BUILD_TYPE);
+  return true;
+}();
+
 inline Buffer BenchI64Buffer(int64_t v) {
   BufferBuilder b;
   b.AppendI64(v);

@@ -79,9 +79,19 @@ Status Skadi::RegisterTable(const std::string& name, const RecordBatch& batch,
     info.partitions.push_back(ref);
   }
 
-  MutexLock lock(mu_);
-  tables_.emplace(name, std::move(info));
-  return Status::Ok();
+  const std::vector<ObjectRef> refs = info.partitions;
+  {
+    MutexLock lock(mu_);
+    if (tables_.emplace(name, std::move(info)).second) {
+      return Status::Ok();
+    }
+  }
+  // A concurrent registration of the same name won between the check above
+  // and here: drop this call's partitions.
+  for (const ObjectRef& ref : refs) {
+    (void)runtime_->Release(ref);
+  }
+  return Status::AlreadyExists("table '" + name + "' already registered");
 }
 
 bool Skadi::HasTable(const std::string& name) const {
@@ -95,10 +105,11 @@ std::vector<ObjectRef> Skadi::TablePartitions(const std::string& name) const {
   return it == tables_.end() ? std::vector<ObjectRef>{} : it->second.partitions;
 }
 
-Result<RecordBatch> Skadi::GatherSink(const GraphRunResult& run, VertexId sink) {
+Result<std::vector<RecordBatch>> Skadi::GatherAndRelease(const GraphRunResult& run,
+                                                         VertexId sink) {
   auto it = run.sink_outputs.find(sink);
   if (it == run.sink_outputs.end()) {
-    return Status::Internal("output vertex is not a sink");
+    return Status::InvalidArgument("output vertex is not a sink");
   }
   // Resolve every partition concurrently (one reactor-driven GetOp each)
   // instead of a serial Get per piece.
@@ -109,7 +120,15 @@ Result<RecordBatch> Skadi::GatherSink(const GraphRunResult& run, VertexId sink) 
     SKADI_ASSIGN_OR_RETURN(RecordBatch piece, DeserializeBatchIpc(buffer));
     pieces.push_back(std::move(piece));
   }
-  return ConcatBatches(pieces);
+  // The run's intermediates (shuffle partitions, partial aggregates, the
+  // sink itself) have no reader left. The pieces may alias the sink's
+  // buffers, which stay alive after the store drops them because buffers
+  // are refcounted. A run or gather that failed returned above and keeps
+  // its objects, unreleased: its tasks may still be running or recovering.
+  for (const ObjectRef& ref : run.produced) {
+    (void)runtime_->Release(ref);
+  }
+  return pieces;
 }
 
 Result<Skadi::PreparedSql> Skadi::PrepareSql(const std::string& query) {
@@ -239,7 +258,9 @@ Result<RecordBatch> Skadi::Sql(const std::string& query) {
   GraphExecutor executor(runtime_.get());
   SKADI_ASSIGN_OR_RETURN(GraphRunResult run,
                          executor.RunToCompletion(prepared.physical, inputs));
-  return GatherSink(run, prepared.plan.output_vertex);
+  SKADI_ASSIGN_OR_RETURN(std::vector<RecordBatch> pieces,
+                         GatherAndRelease(run, prepared.plan.output_vertex));
+  return ConcatBatches(pieces);
 }
 
 Result<std::string> Skadi::Explain(const std::string& query) {
@@ -272,7 +293,9 @@ Result<RecordBatch> Skadi::MapReduce(const MapReduceJob& job,
   GraphExecutor executor(runtime_.get());
   SKADI_ASSIGN_OR_RETURN(GraphRunResult run,
                          executor.RunToCompletion(physical, {{mr.map_vertex, partitions}}));
-  return GatherSink(run, mr.reduce_vertex);
+  SKADI_ASSIGN_OR_RETURN(std::vector<RecordBatch> pieces,
+                         GatherAndRelease(run, mr.reduce_vertex));
+  return ConcatBatches(pieces);
 }
 
 Result<MlModel> Skadi::TrainModel(const std::string& table,
@@ -358,18 +381,7 @@ Result<std::vector<RecordBatch>> Skadi::RunFlowGraph(
   GraphExecutor executor(runtime_.get());
   SKADI_ASSIGN_OR_RETURN(GraphRunResult run,
                          executor.RunToCompletion(physical, source_inputs));
-  auto it = run.sink_outputs.find(output_vertex);
-  if (it == run.sink_outputs.end()) {
-    return Status::InvalidArgument("output vertex is not a sink");
-  }
-  SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> buffers, runtime_->GetAll(it->second));
-  std::vector<RecordBatch> batches;
-  batches.reserve(buffers.size());
-  for (const Buffer& buffer : buffers) {
-    SKADI_ASSIGN_OR_RETURN(RecordBatch piece, DeserializeBatchIpc(buffer));
-    batches.push_back(std::move(piece));
-  }
-  return batches;
+  return GatherAndRelease(run, output_vertex);
 }
 
 SkadiStats Skadi::GetStats() {

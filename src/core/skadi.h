@@ -120,7 +120,10 @@ class Skadi {
     std::vector<ObjectRef> partitions;
   };
 
-  Result<RecordBatch> GatherSink(const GraphRunResult& run, VertexId sink);
+  // Copies `sink`'s pieces out of the caching layer, then releases every
+  // object `run`'s tasks produced. A failed gather releases nothing.
+  Result<std::vector<RecordBatch>> GatherAndRelease(const GraphRunResult& run,
+                                                    VertexId sink);
 
   struct PreparedSql {
     SqlPlan plan;

@@ -203,11 +203,10 @@ size_t Column::ByteSize() const {
   return bytes;
 }
 
-Column Column::Take(const std::vector<int64_t>& indices) const {
-  const size_t n = indices.size();
+Column Column::Take(const int64_t* indices, size_t n) const {
   // Contiguous ascending selections (whole-batch filters, slices expressed as
   // index lists) degrade to a zero-copy/bulk slice.
-  if (n > 0 && indices.back() == indices.front() + static_cast<int64_t>(n) - 1) {
+  if (n > 0 && indices[n - 1] == indices[0] + static_cast<int64_t>(n) - 1) {
     bool contiguous = true;
     for (size_t i = 1; i < n; ++i) {
       if (indices[i] != indices[i - 1] + 1) {
@@ -216,7 +215,7 @@ Column Column::Take(const std::vector<int64_t>& indices) const {
       }
     }
     if (contiguous) {
-      return SliceRange(indices.front(), static_cast<int64_t>(n));
+      return SliceRange(indices[0], static_cast<int64_t>(n));
     }
   }
 

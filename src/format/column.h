@@ -117,7 +117,11 @@ class Column {
   // Gathers rows at `indices` into a new column. Out-of-range indices are a
   // programming error (asserted). Typed bulk gather; contiguous ascending
   // runs degrade to SliceRange slices.
-  Column Take(const std::vector<int64_t>& indices) const;
+  Column Take(const std::vector<int64_t>& indices) const {
+    return Take(indices.data(), indices.size());
+  }
+  // Same, over a raw array of `n` indices.
+  Column Take(const int64_t* indices, size_t n) const;
 
   // Rows [offset, offset+length) as a new column (clamps to bounds).
   // Fixed-width columns alias this column's storage zero-copy (sharing its

@@ -4,12 +4,24 @@
 // placed device's modelled time.
 //
 // The primary kernels are vectorized: inner loops run over raw typed column
-// arrays with validity handled outside the loop, and keyed kernels hash raw
-// values directly (src/format/row_hash.h) instead of materializing a string
-// key per row. Passing ComputeOptions{num_threads > 1} additionally engages
-// morsel-driven intra-kernel parallelism (src/common/morsel_pool.h): the row
-// range is split into morsels, workers keep thread-local partial state, and
-// partials are merged deterministically.
+// arrays with validity handled outside the loop. GROUP BY and the join's
+// build side share one key index, which maps each distinct key tuple to a
+// dense group id in one of two modes:
+//   - direct: a single non-null int64 key whose value span over the indexed
+//     rows is below clamp(16 x rows, 4096, 65536) maps value - min straight
+//     to a slot (at most 256 KB of slots), with no hash and no probe chain;
+//   - open addressing: every other key, hashed from raw values
+//     (src/format/row_hash.h; a single int64 key uses its raw value), with
+//     equal hashes verified by a typed row compare.
+// Keyed kernels work one 4,096-row block at a time: the block's group ids
+// (or probe results) live on the stack and each aggregate folds them while
+// they are hot, so no per-row call and no rows-sized id vector remains.
+// Aggregate state is columnar: per aggregate, a count per group plus only
+// the value array its kind and input type need.
+// Passing ComputeOptions{num_threads > 1} additionally engages morsel-driven
+// intra-kernel parallelism (src/common/morsel_pool.h): the row range is split
+// into morsels, workers keep thread-local partial state, and partials are
+// merged deterministically.
 //
 // The original row-at-a-time implementations live outside the production
 // library, in tests/support/compute_reference.h: the oracle for parity tests

@@ -118,6 +118,7 @@ Result<GraphRunResult> GraphExecutor::Run(
       spec.op_class = plan.op_class;
       spec.required_device = plan.backend;
       SKADI_ASSIGN_OR_RETURN(std::vector<ObjectRef> refs, runtime_->Submit(std::move(spec)));
+      result.produced.insert(result.produced.end(), refs.begin(), refs.end());
       shard_returns.push_back(std::move(refs));
       ++result.tasks_submitted;
     }

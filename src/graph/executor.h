@@ -20,6 +20,11 @@ namespace skadi {
 struct GraphRunResult {
   // Output refs of every sink vertex, per shard.
   std::map<VertexId, std::vector<ObjectRef>> sink_outputs;
+  // Every ref a submitted task returned (values and shuffle partitions),
+  // which the driver owns and may release once the run's result is copied
+  // out. Refs a pass-through vertex forwarded (table partitions) are not
+  // the run's and are not listed.
+  std::vector<ObjectRef> produced;
   int64_t tasks_submitted = 0;
 
   // Convenience: all sink refs flattened.

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "src/common/random.h"
 #include "src/format/serde.h"
 
@@ -47,6 +50,21 @@ class SkadiTest : public ::testing::Test {
     return std::move(batch).value();
   }
 
+  // Bytes held by every node's object store, by node.
+  std::map<NodeId, int64_t> StoreBytes() {
+    std::map<NodeId, int64_t> bytes;
+    for (const ClusterNode& node : skadi_->cluster().nodes()) {
+      if (LocalObjectStore* store = skadi_->cache().StoreOf(node.id)) {
+        bytes[node.id] = store->used_bytes();
+      }
+    }
+    return bytes;
+  }
+
+  size_t HeadOwnedObjects() {
+    return skadi_->runtime().ownership(skadi_->runtime().head()).size();
+  }
+
   std::unique_ptr<Skadi> skadi_;
 };
 
@@ -71,6 +89,113 @@ TEST_F(SkadiTest, DuplicateTableRejected) {
   ASSERT_TRUE(skadi_->RegisterTable("t", SalesBatch(10)).ok());
   EXPECT_EQ(skadi_->RegisterTable("t", SalesBatch(10)).code(),
             StatusCode::kAlreadyExists);
+}
+
+// Two registrations of one name racing past the existence check: exactly
+// one wins, and the loser's partitions are released.
+TEST_F(SkadiTest, ConcurrentRegisterTableOneWins) {
+  Start();
+  // Big enough that serializing and placing the partitions (a few ms) keeps
+  // both racers between the existence check and the insert at once; with
+  // small tables the second racer, started ~0.5 ms late on a shared host,
+  // always found the first one's table.
+  const RecordBatch batch = SalesBatch(200000);
+  std::map<NodeId, int64_t> before = StoreBytes();
+  size_t owned_before = HeadOwnedObjects();
+  ASSERT_TRUE(skadi_->RegisterTable("serial", batch).ok());
+  // What one registration of `batch` adds, per store.
+  std::map<NodeId, int64_t> one_table = StoreBytes();
+  for (auto& [node, bytes] : one_table) {
+    bytes -= before[node];
+  }
+  const size_t one_table_objects = HeadOwnedObjects() - owned_before;
+
+  for (int round = 0; round < 10; ++round) {
+    const std::string name = "t" + std::to_string(round);
+    before = StoreBytes();
+    owned_before = HeadOwnedObjects();
+    // A spinning start line: both racers run when it opens, where a
+    // blocking barrier would wake one of them late.
+    std::atomic<int> arrived{0};
+    Status results[2];
+    std::thread racers[2];
+    for (int i = 0; i < 2; ++i) {
+      racers[i] = std::thread([&, i] {
+        arrived.fetch_add(1);
+        while (arrived.load() < 2) {
+        }
+        results[i] = skadi_->RegisterTable(name, batch);
+      });
+    }
+    for (std::thread& t : racers) {
+      t.join();
+    }
+    const int wins = (results[0].ok() ? 1 : 0) + (results[1].ok() ? 1 : 0);
+    ASSERT_EQ(wins, 1) << "round " << round << ": " << results[0].ToString() << " / "
+                       << results[1].ToString();
+    for (const Status& st : results) {
+      if (!st.ok()) {
+        EXPECT_EQ(st.code(), StatusCode::kAlreadyExists) << st.ToString();
+      }
+    }
+    for (const auto& [node, bytes] : StoreBytes()) {
+      EXPECT_EQ(bytes - before[node], one_table[node]) << "round " << round;
+    }
+    EXPECT_EQ(HeadOwnedObjects() - owned_before, one_table_objects) << "round " << round;
+  }
+}
+
+// Queries release their intermediates once the result is copied out: after
+// 20 GROUP BY and JOIN queries from two threads, every store and the head's
+// ownership table are back where registration left them, and every result
+// (read after its objects were released) is correct.
+TEST_F(SkadiTest, QueriesReleaseTheirIntermediates) {
+  Start();
+  const RecordBatch sales = SalesBatch(400);
+  ASSERT_TRUE(skadi_->RegisterTable("sales", sales).ok());
+  Schema dim_schema({{"name", DataType::kString}, {"zone", DataType::kInt64}});
+  auto dims = RecordBatch::Make(
+      dim_schema, {Column::MakeString({"east", "west", "north"}), Column::MakeInt64({1, 2, 3})});
+  ASSERT_TRUE(skadi_->RegisterTable("dims", *dims, 1).ok());
+  const std::map<NodeId, int64_t> registered = StoreBytes();
+  const size_t owned = HeadOwnedObjects();
+
+  const char* kGroupBy =
+      "SELECT region, COUNT(*) AS n, SUM(amount) AS s FROM sales GROUP BY region "
+      "ORDER BY region";
+  const char* kJoin =
+      "SELECT zone, COUNT(*) AS n, SUM(amount) AS s FROM sales JOIN dims ON region = name "
+      "GROUP BY zone ORDER BY zone";
+  auto expect = [](const RecordBatch& input, const std::string& key) {
+    auto agg = GroupAggregateBatch(
+        input, {key}, {{AggKind::kCount, "*", "n"}, {AggKind::kSum, "amount", "s"}});
+    return SortBatch(*agg, {{key, true}}).value();
+  };
+  const RecordBatch want_group_by = expect(sales, "region");
+  const RecordBatch want_join =
+      expect(HashJoinBatch(sales, *dims, {"region"}, {"name"}).value(), "zone");
+
+  auto client = [&](int id) {
+    for (int q = 0; q < 10; ++q) {
+      const bool join = (q + id) % 2 == 1;
+      auto result = skadi_->Sql(join ? kJoin : kGroupBy);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const RecordBatch& want = join ? want_join : want_group_by;
+      ASSERT_EQ(result->num_rows(), want.num_rows());
+      for (int64_t r = 0; r < want.num_rows(); ++r) {
+        for (const char* col : {"n", "s"}) {
+          EXPECT_EQ(result->ColumnByName(col)->Int64At(r), want.ColumnByName(col)->Int64At(r))
+              << (join ? "join" : "group by") << " row " << r << " " << col;
+        }
+      }
+    }
+  };
+  std::thread other(client, 1);
+  client(0);
+  other.join();
+
+  EXPECT_EQ(StoreBytes(), registered);
+  EXPECT_EQ(HeadOwnedObjects(), owned);
 }
 
 TEST_F(SkadiTest, SqlSelectWhere) {

@@ -17,7 +17,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -266,35 +269,42 @@ TEST(ComputeParityTest, HashPartition) {
   }
 }
 
-void CheckGroupByParity(const std::vector<std::string>& group_by,
-                        const std::string& label) {
+// Group-by over `batch`, vectorized and morsel-parallel, against the
+// reference.
+void ExpectGroupByParity(const RecordBatch& batch, const std::vector<std::string>& group_by,
+                         const std::string& label) {
   const std::vector<AggregateSpec> aggs = {
       {AggKind::kCount, "", "n"},          {AggKind::kSum, "v_i64", "isum"},
       {AggKind::kSum, "v_f64", "fsum"},    {AggKind::kMin, "v_f64", "fmin"},
       {AggKind::kMax, "v_i64", "imax"},    {AggKind::kMean, "v_f64", "fmean"},
       {AggKind::kMin, "k_str", "smin"}};
-  for (const ParityCase& pc : Cases()) {
-    RecordBatch batch = MakeMixedBatch(pc.rows, pc.null_rate, pc.seed);
-    auto expected = reference::GroupAggregateBatch(batch, group_by, aggs);
-    ASSERT_TRUE(expected.ok()) << label << " " << pc.Name();
-    auto vec = GroupAggregateBatch(batch, group_by, aggs);
-    ASSERT_TRUE(vec.ok()) << label << " " << pc.Name();
-    auto par = GroupAggregateBatch(batch, group_by, aggs, ParallelOptions());
-    ASSERT_TRUE(par.ok()) << label << " " << pc.Name();
-    // Sort by group keys (unique per output row); float aggregates get
-    // tolerance since parallel runs accumulate in chunk order.
-    std::vector<size_t> sort_cols(group_by.size());
-    std::iota(sort_cols.begin(), sort_cols.end(), 0);
-    std::vector<size_t> tolerant_cols;
-    for (size_t c = group_by.size(); c < expected->num_columns(); ++c) {
-      if (expected->column(c).type() == DataType::kFloat64) {
-        tolerant_cols.push_back(c);
-      }
+  auto expected = reference::GroupAggregateBatch(batch, group_by, aggs);
+  ASSERT_TRUE(expected.ok()) << label;
+  auto vec = GroupAggregateBatch(batch, group_by, aggs);
+  ASSERT_TRUE(vec.ok()) << label;
+  auto par = GroupAggregateBatch(batch, group_by, aggs, ParallelOptions());
+  ASSERT_TRUE(par.ok()) << label;
+  // Sort by group keys (unique per output row); float aggregates get
+  // tolerance since parallel runs accumulate in chunk order.
+  std::vector<size_t> sort_cols(group_by.size());
+  std::iota(sort_cols.begin(), sort_cols.end(), 0);
+  std::vector<size_t> tolerant_cols;
+  for (size_t c = group_by.size(); c < expected->num_columns(); ++c) {
+    if (expected->column(c).type() == DataType::kFloat64) {
+      tolerant_cols.push_back(c);
     }
-    ExpectBatchesEqualSorted(*expected, *vec, sort_cols, tolerant_cols,
-                             "groupby/vectorized " + label + " " + pc.Name());
-    ExpectBatchesEqualSorted(*expected, *par, sort_cols, tolerant_cols,
-                             "groupby/parallel " + label + " " + pc.Name());
+  }
+  ExpectBatchesEqualSorted(*expected, *vec, sort_cols, tolerant_cols,
+                           "groupby/vectorized " + label);
+  ExpectBatchesEqualSorted(*expected, *par, sort_cols, tolerant_cols,
+                           "groupby/parallel " + label);
+}
+
+void CheckGroupByParity(const std::vector<std::string>& group_by,
+                        const std::string& label) {
+  for (const ParityCase& pc : Cases()) {
+    ExpectGroupByParity(MakeMixedBatch(pc.rows, pc.null_rate, pc.seed), group_by,
+                        label + " " + pc.Name());
   }
 }
 
@@ -312,6 +322,22 @@ TEST(ComputeParityTest, GroupByMultiKey) {
 
 TEST(ComputeParityTest, GroupByGlobal) { CheckGroupByParity({}, "global"); }
 
+// Inner join of `left` and `right` on `keys`, vectorized and
+// morsel-parallel, against the reference.
+void ExpectJoinParity(const RecordBatch& left, const RecordBatch& right,
+                      const std::vector<std::string>& keys, const std::string& label) {
+  auto expected = reference::HashJoinBatch(left, right, keys, keys);
+  ASSERT_TRUE(expected.ok()) << label;
+  auto vec = HashJoinBatch(left, right, keys, keys);
+  ASSERT_TRUE(vec.ok()) << label;
+  auto par = HashJoinBatch(left, right, keys, keys, ParallelOptions());
+  ASSERT_TRUE(par.ok()) << label;
+  // Join output cells are pure gathers (bit-exact); rows may interleave
+  // differently for duplicate keys, so sort by the full row.
+  ExpectBatchesEqualSorted(*expected, *vec, {}, {}, "join/vectorized " + label);
+  ExpectBatchesEqualSorted(*expected, *par, {}, {}, "join/parallel " + label);
+}
+
 void CheckJoinParity(const std::vector<std::string>& keys, const std::string& label) {
   for (const ParityCase& pc : Cases()) {
     // Low-cardinality keys give quadratic-ish match fan-out; cap the probe
@@ -321,18 +347,7 @@ void CheckJoinParity(const std::vector<std::string>& keys, const std::string& la
     RecordBatch left = MakeMixedBatch(left_rows, pc.null_rate, pc.seed);
     // Build side: different row count and seed so match fan-out varies.
     RecordBatch right = MakeMixedBatch(pc.rows / 3 + 37, pc.null_rate, pc.seed + 100);
-    auto expected = reference::HashJoinBatch(left, right, keys, keys);
-    ASSERT_TRUE(expected.ok()) << label << " " << pc.Name();
-    auto vec = HashJoinBatch(left, right, keys, keys);
-    ASSERT_TRUE(vec.ok()) << label << " " << pc.Name();
-    auto par = HashJoinBatch(left, right, keys, keys, ParallelOptions());
-    ASSERT_TRUE(par.ok()) << label << " " << pc.Name();
-    // Join output cells are pure gathers (bit-exact); rows may interleave
-    // differently for duplicate keys, so sort by the full row.
-    ExpectBatchesEqualSorted(*expected, *vec, {}, {},
-                             "join/vectorized " + label + " " + pc.Name());
-    ExpectBatchesEqualSorted(*expected, *par, {}, {},
-                             "join/parallel " + label + " " + pc.Name());
+    ExpectJoinParity(left, right, keys, label + " " + pc.Name());
   }
 }
 
@@ -342,6 +357,151 @@ TEST(ComputeParityTest, JoinStringKey) { CheckJoinParity({"k_str"}, "str"); }
 
 TEST(ComputeParityTest, JoinMultiKey) {
   CheckJoinParity({"k_i64", "k_bool"}, "multi");
+}
+
+// --- Both key-index modes ---
+//
+// A single non-null int64 key maps straight to slots when its value span
+// over the indexed rows (a group-by's input, a join's build side) is below
+// clamp(16 x rows, 4096, 65536); every other key goes to the open-addressing
+// table. The k_i64 cases above draw 23 values from [0, 23), so they only
+// take the direct path. These draw k_i64 to hit both modes and their edges.
+
+int64_t DirectSpanLimit(int64_t rows) {
+  return std::clamp<int64_t>(16 * rows, 4096, 65536);
+}
+
+// One k_i64 value per call; nullopt is a null key.
+using KeyDraw = std::function<std::optional<int64_t>(Rng&)>;
+
+// MakeMixedBatch with its k_i64 column redrawn from `draw`.
+RecordBatch MakeKeyedBatch(int64_t rows, uint64_t seed, const KeyDraw& draw) {
+  RecordBatch batch = MakeMixedBatch(rows, 0.15, seed);
+  Rng rng(seed ^ 0x6b6579);
+  ColumnBuilder keys(DataType::kInt64);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::optional<int64_t> key = draw(rng);
+    if (key.has_value()) {
+      keys.AppendInt64(*key);
+    } else {
+      keys.AppendNull();
+    }
+  }
+  std::vector<Column> columns;
+  for (size_t c = 0; c < batch.num_columns(); ++c) {
+    columns.push_back(batch.schema().field(c).name == "k_i64" ? keys.Finish()
+                                                              : batch.column(c));
+  }
+  return RecordBatch::Make(batch.schema(), std::move(columns)).value();
+}
+
+// 23 values spread over the whole int64 range, both ends included.
+KeyDraw WideKeys() {
+  return [](Rng& rng) -> std::optional<int64_t> {
+    const uint64_t step = std::numeric_limits<uint64_t>::max() / 22;
+    const uint64_t i = rng.NextBounded(23);
+    return i == 22 ? std::numeric_limits<int64_t>::max()
+                   : static_cast<int64_t>(static_cast<uint64_t>(
+                         std::numeric_limits<int64_t>::min()) + i * step);
+  };
+}
+
+// Keys in [lo, hi], each end drawn with probability 1/64 (the span tests
+// assert that both ends occur).
+KeyDraw RangeKeys(int64_t lo, int64_t hi) {
+  return [lo, hi](Rng& rng) -> std::optional<int64_t> {
+    const uint64_t pick = rng.NextBounded(64);
+    return pick == 0 ? lo : pick == 1 ? hi : rng.NextI64InRange(lo, hi);
+  };
+}
+
+// `draw` with a null instead of a value 15% of the time.
+KeyDraw WithNulls(KeyDraw draw) {
+  return [draw](Rng& rng) -> std::optional<int64_t> {
+    if (rng.NextBool(0.15)) {
+      return std::nullopt;
+    }
+    return draw(rng);
+  };
+}
+
+// max - min of an int64 column's non-null values, as the key index
+// computes it (modulo 2^64).
+uint64_t SpanOf(const Column& col) {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (int64_t r = 0; r < col.length(); ++r) {
+    if (!col.IsNull(r)) {
+      lo = std::min(lo, col.Int64At(r));
+      hi = std::max(hi, col.Int64At(r));
+    }
+  }
+  return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+}
+
+TEST(ComputeParityTest, GroupByInt64KeyIndexModes) {
+  uint64_t seed = 500;
+  for (int64_t rows : {1000, 5000}) {
+    const int64_t limit = DirectSpanLimit(rows);
+    const std::vector<std::pair<std::string, KeyDraw>> cases = {
+        {"wide", WideKeys()},
+        {"negative_narrow", RangeKeys(-40, -18)},
+        {"span_below_limit", RangeKeys(-7, -7 + limit - 1)},
+        {"span_at_limit", RangeKeys(-7, -7 + limit)},
+        {"null_keys", WithNulls(RangeKeys(0, 22))},
+    };
+    for (const auto& [name, draw] : cases) {
+      const std::string label = name + " rows=" + std::to_string(rows);
+      RecordBatch batch = MakeKeyedBatch(rows, ++seed, draw);
+      const Column& keys = *batch.ColumnByName("k_i64");
+      if (name == "span_below_limit") {
+        ASSERT_EQ(SpanOf(keys), static_cast<uint64_t>(limit - 1)) << label;
+      } else if (name == "span_at_limit") {
+        ASSERT_EQ(SpanOf(keys), static_cast<uint64_t>(limit)) << label;
+      } else if (name == "wide") {
+        ASSERT_EQ(SpanOf(keys), std::numeric_limits<uint64_t>::max()) << label;
+      }
+      ExpectGroupByParity(batch, {"k_i64"}, label);
+    }
+  }
+}
+
+TEST(ComputeParityTest, JoinInt64KeyIndexModes) {
+  struct JoinCase {
+    std::string name;
+    KeyDraw left;
+    KeyDraw right;
+  };
+  uint64_t seed = 700;
+  const int64_t left_rows = 1500;
+  // A small build side wherever keys repeat, so the match fan-out (and the
+  // sorted comparison) stays small.
+  const std::vector<JoinCase> cases = {
+      {"wide", WideKeys(), WideKeys()},
+      {"negative_narrow", RangeKeys(-40, -18), RangeKeys(-40, -18)},
+      {"probe_outside_build_range", RangeKeys(50, 200), RangeKeys(100, 140)},
+      {"duplicate_build_keys", RangeKeys(0, 9), RangeKeys(0, 4)},
+      {"null_probe_keys", WithNulls(RangeKeys(0, 22)), RangeKeys(0, 22)},
+      {"null_build_keys", RangeKeys(0, 22), WithNulls(RangeKeys(0, 22))},
+      {"null_keys_both_sides", WithNulls(RangeKeys(0, 22)), WithNulls(RangeKeys(0, 22))},
+  };
+  for (const JoinCase& jc : cases) {
+    RecordBatch left = MakeKeyedBatch(left_rows, ++seed, jc.left);
+    RecordBatch right = MakeKeyedBatch(46, ++seed, jc.right);
+    ExpectJoinParity(left, right, {"k_i64"}, jc.name);
+  }
+  // The direct-map limit depends on the build side's row count.
+  for (int64_t build_rows : {300, 3000}) {
+    const int64_t limit = DirectSpanLimit(build_rows);
+    for (int64_t span : {limit - 1, limit}) {
+      const std::string label = "span=" + std::to_string(span) +
+                                " limit=" + std::to_string(limit);
+      RecordBatch left = MakeKeyedBatch(left_rows, ++seed, RangeKeys(-20, span + 20));
+      RecordBatch right = MakeKeyedBatch(build_rows, ++seed, RangeKeys(-7, -7 + span));
+      ASSERT_EQ(SpanOf(*right.ColumnByName("k_i64")), static_cast<uint64_t>(span)) << label;
+      ExpectJoinParity(left, right, {"k_i64"}, label);
+    }
+  }
 }
 
 }  // namespace

@@ -30,9 +30,16 @@ Usage:
   tools/bench.py [--bench kernels|serde] [--build-dir build] [--out FILE]
                  [--smoke] [--filter REGEX] [--repetitions N]
 
+Every benchmark runs --repetitions times (default 5) and each row keeps
+google-benchmark's `_median` aggregate, which one slow repetition on a
+shared host does not move. The output records the host's CPU count (`nproc`)
+and the CMAKE_BUILD_TYPE the bench binary was compiled with (`build_type`,
+stamped into the benchmark context by bench/bench_util.h; the context's own
+`library_build_type` describes the installed benchmark library instead).
+
 --smoke sets SKADI_BENCH_SMOKE=1 (small inputs, one iteration per
-benchmark); used by tools/check.sh to exercise these paths under sanitizers
-without paying full benchmark time.
+benchmark) and defaults to one repetition; used by tools/check.sh to
+exercise these paths under sanitizers without paying full benchmark time.
 """
 
 import argparse
@@ -51,14 +58,20 @@ MODE_NAMES = {0: "scalar_reference", 1: "vectorized", 2: "morsel_parallel"}
 def parse_name(name):
     """'BM_KernelGroupBy/rows:2000000/mode:1' -> (kernel, rows, mode).
 
-    Aggregate rows ('..._mean') return None so only raw/mean-free entries
-    are collected (with --repetitions we keep the '_mean' aggregate instead).
+    The trailing aggregate name ('_median', ...) is returned as the fourth
+    element; callers keep the one wanted_aggregate() names.
     """
     m = re.match(r"(BM_\w+)/rows:(\d+)/mode:(\d+)(?:/iterations:\d+)?(?:_(\w+))?$", name)
     if not m:
         return None
     kernel, rows, mode, agg = m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
     return kernel, rows, mode, agg
+
+
+def wanted_aggregate(repetitions):
+    """The google-benchmark row kept per benchmark: the '_median' aggregate
+    with repetitions, else the single raw run."""
+    return "median" if repetitions > 1 else None
 
 
 def run_benchmark(binary, out_json, bench_filter, repetitions, smoke):
@@ -81,7 +94,7 @@ def run_benchmark(binary, out_json, bench_filter, repetitions, smoke):
 def collect(raw, repetitions):
     """Groups google-benchmark entries into kernel/rows rows with one column
     per mode, then derives speedups vs. mode 0."""
-    want_agg = "mean" if repetitions > 1 else None
+    want_agg = wanted_aggregate(repetitions)
     table = {}
     for entry in raw.get("benchmarks", []):
         parsed = parse_name(entry["name"])
@@ -117,8 +130,7 @@ def parse_serde_name(name, repetitions):
     m = re.match(r"(BM_\w+)/(\d+)(?:/iterations:\d+)?(?:_(\w+))?$", name)
     if not m:
         return None
-    want_agg = "mean" if repetitions > 1 else None
-    if m.group(3) != want_agg:
+    if m.group(3) != wanted_aggregate(repetitions):
         return None
     return m.group(1), int(m.group(2))
 
@@ -170,7 +182,7 @@ REACTOR_COUNTERS = (
 def collect_reactor(raw, repetitions):
     """One row per bench_reactor entry: wall time plus the reactor counters
     (rates are already per-second values in google-benchmark output)."""
-    want_agg = "mean" if repetitions > 1 else None
+    want_agg = wanted_aggregate(repetitions)
     results = []
     for entry in raw.get("benchmarks", []):
         m = re.match(r"(BM_\w+)/(\d+)(?:/iterations:\d+)?(?:_(\w+))?$", entry["name"])
@@ -196,7 +208,7 @@ def collect_trace(raw, repetitions):
     variant is single-threaded (post + PollOnce drain) so the pair is
     deterministic; the 2-driver BM_ReactorPost* rows are reported alongside
     but their run-to-run variance on small machines exceeds the bound."""
-    want_agg = "mean" if repetitions > 1 else None
+    want_agg = wanted_aggregate(repetitions)
     results = []
     post_rates = {}
     for entry in raw.get("benchmarks", []):
@@ -261,7 +273,7 @@ def collect_control_plane(raw, repetitions):
     * push_batching — control_messages with the batcher off vs on and the
       derived reduction percentage.
     """
-    want_agg = "mean" if repetitions > 1 else None
+    want_agg = wanted_aggregate(repetitions)
     results = []
     serialization = {}
     batching = {}
@@ -334,8 +346,11 @@ def main():
     parser.add_argument("--out", default=None)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--filter", default="")
-    parser.add_argument("--repetitions", type=int, default=1)
+    parser.add_argument("--repetitions", type=int, default=None,
+                        help="default: 5, or 1 with --smoke")
     args = parser.parse_args()
+    if args.repetitions is None:
+        args.repetitions = 1 if args.smoke else 5
 
     binary_name, default_out, collector = BENCH_TARGETS[args.bench]
     out_name = args.out or default_out
@@ -356,6 +371,8 @@ def main():
     out = {
         "benchmark": binary_name,
         "context": raw.get("context", {}),
+        "nproc": os.cpu_count(),
+        "build_type": raw.get("context", {}).get("skadi_build_type"),
         "smoke": args.smoke,
         "repetitions": args.repetitions,
         "results": collector(raw, args.repetitions),
