@@ -86,7 +86,7 @@ void BM_OwnershipOpenLoop(benchmark::State& state) {
       for (int i = 0; i < ops; ++i) {
         const int64_t t0 = NowNanos();
         ObjectId id = ObjectId::Next();
-        (void)table.RegisterObject(id, TaskId::Next());
+        (void)table.RegisterObject(id, nullptr);
         (void)table.MarkReady(id, where, 64);
         (void)table.Resolve(id);
         (void)table.DecRef(id);
@@ -128,7 +128,7 @@ void BM_OwnershipShardSerialization(benchmark::State& state) {
       const size_t shard =
           std::hash<ObjectId>()(id) % static_cast<size_t>(shards);
       const int64_t t0 = NowNanos();
-      (void)table.RegisterObject(id, TaskId::Next());
+      (void)table.RegisterObject(id, nullptr);
       (void)table.MarkReady(id, NodeId(100), 64);
       (void)table.Resolve(id);
       (void)table.DecRef(id);

@@ -119,16 +119,9 @@ Result<RecordBatch> RunContributionRound(SkadiRuntime* runtime, FunctionRegistry
   std::map<VertexId, std::vector<ObjectRef>> inputs;
   inputs[edges_v] = edge_partitions;
   inputs[shares_v] = {shares_ref};
-  SKADI_ASSIGN_OR_RETURN(GraphRunResult run, executor.RunToCompletion(physical, inputs));
-
-  SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> buffers,
-                         runtime->GetAll(run.sink_outputs.at(final_v)));
-  std::vector<RecordBatch> pieces;
-  pieces.reserve(buffers.size());
-  for (const Buffer& buffer : buffers) {
-    SKADI_ASSIGN_OR_RETURN(RecordBatch piece, DeserializeBatchIpc(buffer));
-    pieces.push_back(std::move(piece));
-  }
+  SKADI_ASSIGN_OR_RETURN(std::vector<RecordBatch> pieces,
+                         executor.RunAndGather(physical, inputs, final_v));
+  (void)runtime->Release(shares_ref);
   return ConcatBatches(pieces);
 }
 
@@ -207,7 +200,7 @@ Result<RecordBatch> ConnectedComponents(SkadiRuntime* runtime, FunctionRegistry*
   SKADI_ASSIGN_OR_RETURN(GraphMeta meta, LoadGraphMeta(runtime, edge_partitions));
 
   // Build the reversed edge partitions once so label propagation is
-  // effectively undirected.
+  // effectively undirected; they are released once the labels converge.
   std::vector<ObjectRef> undirected = edge_partitions;
   SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> edge_buffers,
                          runtime->GetAll(edge_partitions));
@@ -245,6 +238,9 @@ Result<RecordBatch> ConnectedComponents(SkadiRuntime* runtime, FunctionRegistry*
     if (!changed) {
       break;
     }
+  }
+  for (size_t i = edge_partitions.size(); i < undirected.size(); ++i) {
+    (void)runtime->Release(undirected[i]);
   }
 
   ColumnBuilder vs(DataType::kInt64);

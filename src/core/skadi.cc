@@ -41,14 +41,9 @@ std::vector<DeviceKind> Skadi::AvailableBackends() const {
 Status Skadi::RegisterTable(const std::string& name, const RecordBatch& batch,
                             int partitions) {
   if (partitions <= 0) {
-    partitions = options_.default_parallelism;
-    if (options_.adaptive_parallelism) {
-      int64_t shards = (static_cast<int64_t>(batch.ByteSize()) +
-                        options_.adaptive_shard_bytes - 1) /
-                       options_.adaptive_shard_bytes;
-      partitions = static_cast<int>(
-          std::min<int64_t>(std::max<int64_t>(1, shards), options_.max_parallelism));
-    }
+    partitions = options_.adaptive_parallelism
+                     ? AdaptiveParallelism(static_cast<int64_t>(batch.ByteSize()))
+                     : options_.default_parallelism;
   }
   {
     MutexLock lock(mu_);
@@ -105,30 +100,11 @@ std::vector<ObjectRef> Skadi::TablePartitions(const std::string& name) const {
   return it == tables_.end() ? std::vector<ObjectRef>{} : it->second.partitions;
 }
 
-Result<std::vector<RecordBatch>> Skadi::GatherAndRelease(const GraphRunResult& run,
-                                                         VertexId sink) {
-  auto it = run.sink_outputs.find(sink);
-  if (it == run.sink_outputs.end()) {
-    return Status::InvalidArgument("output vertex is not a sink");
-  }
-  // Resolve every partition concurrently (one reactor-driven GetOp each)
-  // instead of a serial Get per piece.
-  SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> buffers, runtime_->GetAll(it->second));
-  std::vector<RecordBatch> pieces;
-  pieces.reserve(buffers.size());
-  for (const Buffer& buffer : buffers) {
-    SKADI_ASSIGN_OR_RETURN(RecordBatch piece, DeserializeBatchIpc(buffer));
-    pieces.push_back(std::move(piece));
-  }
-  // The run's intermediates (shuffle partitions, partial aggregates, the
-  // sink itself) have no reader left. The pieces may alias the sink's
-  // buffers, which stay alive after the store drops them because buffers
-  // are refcounted. A run or gather that failed returned above and keeps
-  // its objects, unreleased: its tasks may still be running or recovering.
-  for (const ObjectRef& ref : run.produced) {
-    (void)runtime_->Release(ref);
-  }
-  return pieces;
+int Skadi::AdaptiveParallelism(int64_t bytes) const {
+  const int64_t shards =
+      (bytes + options_.adaptive_shard_bytes - 1) / options_.adaptive_shard_bytes;
+  return static_cast<int>(
+      std::min<int64_t>(std::max<int64_t>(1, shards), options_.max_parallelism));
 }
 
 Result<Skadi::PreparedSql> Skadi::PrepareSql(const std::string& query) {
@@ -147,10 +123,7 @@ Result<Skadi::PreparedSql> Skadi::PrepareSql(const std::string& query) {
       }
     }
     if (table_bytes > 0) {
-      int64_t shards =
-          (table_bytes + options_.adaptive_shard_bytes - 1) / options_.adaptive_shard_bytes;
-      planner_options.parallelism = static_cast<int>(
-          std::min<int64_t>(std::max<int64_t>(1, shards), options_.max_parallelism));
+      planner_options.parallelism = AdaptiveParallelism(table_bytes);
       runtime_->metrics().GetCounter(names::kCoreAdaptiveDopDecisions).Increment();
     }
   }
@@ -182,46 +155,11 @@ Result<Skadi::PreparedSql> Skadi::PrepareSql(const std::string& query) {
   }
   SKADI_ASSIGN_OR_RETURN(SqlPlan plan, PlanSql(select, planner_options));
 
-  // Bind table sources before any structural rewrite invalidates ids? The
-  // optimizer preserves table source vertices only if they aren't merged;
-  // resolve the binding AFTER optimization via vertex names instead.
-  std::map<std::string, VertexId> sources = plan.table_sources;
   if (options_.optimize_graph) {
-    // Remember source names: after merging, the source vertex's name starts
-    // with the original scan vertex's name.
-    std::map<std::string, std::string> source_names;
-    for (const auto& [table, vid] : sources) {
-      source_names[table] = plan.graph.vertex(vid)->name;
-    }
-    VertexId old_output = plan.output_vertex;
-    std::string output_name = plan.graph.vertex(old_output)->name;
-    SKADI_ASSIGN_OR_RETURN(int merged, OptimizeFlowGraph(plan.graph));
-    (void)merged;
-    // Re-resolve bindings by name prefix.
-    for (auto& [table, vid] : sources) {
-      const std::string& want = source_names[table];
-      vid = VertexId();
-      for (const FlowVertex& v : plan.graph.vertices()) {
-        if (v.name == want || v.name.rfind(want + "+", 0) == 0) {
-          vid = v.id;
-          break;
-        }
-      }
-      if (!vid.valid()) {
-        return Status::Internal("lost table source for '" + table + "' during optimization");
-      }
-    }
-    plan.output_vertex = VertexId();
-    for (const FlowVertex& v : plan.graph.vertices()) {
-      if (v.name == output_name ||
-          (v.name.size() > output_name.size() &&
-           v.name.compare(v.name.size() - output_name.size() - 1,
-                          output_name.size() + 1, "+" + output_name) == 0)) {
-        plan.output_vertex = v.id;
-      }
-    }
-    if (!plan.output_vertex.valid()) {
-      // The output vertex merged into something: it is the sink.
+    // Merges keep the producer's id, so the table sources keep theirs. An
+    // output vertex folded into its producer leaves the plan's one sink.
+    SKADI_RETURN_IF_ERROR(OptimizeFlowGraph(plan.graph).status());
+    if (plan.graph.vertex(plan.output_vertex) == nullptr) {
       auto sinks = plan.graph.Sinks();
       if (sinks.size() != 1) {
         return Status::Internal("ambiguous output vertex after optimization");
@@ -238,7 +176,6 @@ Result<Skadi::PreparedSql> Skadi::PrepareSql(const std::string& query) {
 
   PreparedSql prepared;
   prepared.plan = std::move(plan);
-  prepared.sources = std::move(sources);
   prepared.physical = std::move(physical);
   return prepared;
 }
@@ -247,7 +184,7 @@ Result<RecordBatch> Skadi::Sql(const std::string& query) {
   SKADI_ASSIGN_OR_RETURN(PreparedSql prepared, PrepareSql(query));
 
   std::map<VertexId, std::vector<ObjectRef>> inputs;
-  for (const auto& [table, vid] : prepared.sources) {
+  for (const auto& [table, vid] : prepared.plan.table_sources) {
     std::vector<ObjectRef> partitions = TablePartitions(table);
     if (partitions.empty()) {
       return Status::NotFound("table '" + table + "' not registered");
@@ -256,10 +193,9 @@ Result<RecordBatch> Skadi::Sql(const std::string& query) {
   }
 
   GraphExecutor executor(runtime_.get());
-  SKADI_ASSIGN_OR_RETURN(GraphRunResult run,
-                         executor.RunToCompletion(prepared.physical, inputs));
-  SKADI_ASSIGN_OR_RETURN(std::vector<RecordBatch> pieces,
-                         GatherAndRelease(run, prepared.plan.output_vertex));
+  SKADI_ASSIGN_OR_RETURN(
+      std::vector<RecordBatch> pieces,
+      executor.RunAndGather(prepared.physical, inputs, prepared.plan.output_vertex));
   return ConcatBatches(pieces);
 }
 
@@ -291,10 +227,9 @@ Result<RecordBatch> Skadi::MapReduce(const MapReduceJob& job,
                          LowerToPhysical(mr.graph, lowering, &registry_));
 
   GraphExecutor executor(runtime_.get());
-  SKADI_ASSIGN_OR_RETURN(GraphRunResult run,
-                         executor.RunToCompletion(physical, {{mr.map_vertex, partitions}}));
-  SKADI_ASSIGN_OR_RETURN(std::vector<RecordBatch> pieces,
-                         GatherAndRelease(run, mr.reduce_vertex));
+  SKADI_ASSIGN_OR_RETURN(
+      std::vector<RecordBatch> pieces,
+      executor.RunAndGather(physical, {{mr.map_vertex, partitions}}, mr.reduce_vertex));
   return ConcatBatches(pieces);
 }
 
@@ -349,7 +284,14 @@ Result<MlModel> Skadi::TrainModel(const std::string& table,
     shards.emplace_back(x_ref, y_ref);
   }
 
-  return ::skadi::TrainModel(runtime_.get(), &registry_, shards, d, options);
+  Result<MlModel> model = ::skadi::TrainModel(runtime_.get(), shards, d, options);
+  if (model.ok()) {
+    for (const auto& [x_ref, y_ref] : shards) {
+      (void)runtime_->Release(x_ref);
+      (void)runtime_->Release(y_ref);
+    }
+  }
+  return model;
 }
 
 Result<RecordBatch> Skadi::PageRank(const std::string& edges_table,
@@ -379,9 +321,7 @@ Result<std::vector<RecordBatch>> Skadi::RunFlowGraph(
   SKADI_ASSIGN_OR_RETURN(PhysicalGraph physical,
                          LowerToPhysical(graph, lowering, &registry_));
   GraphExecutor executor(runtime_.get());
-  SKADI_ASSIGN_OR_RETURN(GraphRunResult run,
-                         executor.RunToCompletion(physical, source_inputs));
-  return GatherAndRelease(run, output_vertex);
+  return executor.RunAndGather(physical, source_inputs, output_vertex);
 }
 
 SkadiStats Skadi::GetStats() {

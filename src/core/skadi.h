@@ -120,14 +120,11 @@ class Skadi {
     std::vector<ObjectRef> partitions;
   };
 
-  // Copies `sink`'s pieces out of the caching layer, then releases every
-  // object `run`'s tasks produced. A failed gather releases nothing.
-  Result<std::vector<RecordBatch>> GatherAndRelease(const GraphRunResult& run,
-                                                    VertexId sink);
+  // One shard per adaptive_shard_bytes of `bytes`, at most max_parallelism.
+  int AdaptiveParallelism(int64_t bytes) const;
 
   struct PreparedSql {
     SqlPlan plan;
-    std::map<std::string, VertexId> sources;
     PhysicalGraph physical;
   };
   // Parse + plan + optimize + lower, shared by Sql and Explain.

@@ -1,5 +1,9 @@
 #include "src/graph/executor.h"
 
+#include <algorithm>
+
+#include "src/format/serde.h"
+
 namespace skadi {
 
 std::vector<ObjectRef> GraphRunResult::AllSinkRefs() const {
@@ -109,7 +113,8 @@ Result<GraphRunResult> GraphExecutor::Run(
       }
 
       TaskSpec spec;
-      spec.function = plan.task_function;
+      spec.function = plan.name;
+      spec.body = plan.body;
       spec.args.push_back(TaskArg::Value(MakeVertexArgHeader(group_sizes)));
       for (const ObjectRef& ref : inputs) {
         spec.args.push_back(TaskArg::Ref(ref));
@@ -140,6 +145,32 @@ Result<GraphRunResult> GraphExecutor::RunToCompletion(
   SKADI_ASSIGN_OR_RETURN(GraphRunResult result, Run(graph, source_inputs));
   SKADI_RETURN_IF_ERROR(runtime_->Wait(result.AllSinkRefs(), timeout_ms));
   return result;
+}
+
+Result<std::vector<RecordBatch>> GraphExecutor::RunAndGather(
+    const PhysicalGraph& graph,
+    const std::map<VertexId, std::vector<ObjectRef>>& source_inputs, VertexId sink) {
+  const std::vector<VertexId> sinks = graph.Sinks();
+  if (std::find(sinks.begin(), sinks.end(), sink) == sinks.end()) {
+    return Status::InvalidArgument("output vertex is not a sink");
+  }
+  SKADI_ASSIGN_OR_RETURN(GraphRunResult run, Run(graph, source_inputs));
+  // Resolve every shard concurrently (one reactor-driven GetOp each), which
+  // is also the run's only wait.
+  SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> buffers,
+                         runtime_->GetAll(run.sink_outputs.at(sink), kRunTimeoutMs));
+  std::vector<RecordBatch> pieces;
+  pieces.reserve(buffers.size());
+  for (const Buffer& buffer : buffers) {
+    SKADI_ASSIGN_OR_RETURN(RecordBatch piece, DeserializeBatchIpc(buffer));
+    pieces.push_back(std::move(piece));
+  }
+  // The run's intermediates (shuffle partitions, partial aggregates, the
+  // sink itself) have no reader left.
+  for (const ObjectRef& ref : run.produced) {
+    (void)runtime_->Release(ref);
+  }
+  return pieces;
 }
 
 }  // namespace skadi

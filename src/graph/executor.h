@@ -12,6 +12,7 @@
 #include <map>
 #include <vector>
 
+#include "src/format/record_batch.h"
 #include "src/graph/physical.h"
 #include "src/runtime/runtime.h"
 
@@ -33,6 +34,9 @@ struct GraphRunResult {
 
 class GraphExecutor {
  public:
+  // How long a run may take to resolve its sinks.
+  static constexpr int64_t kRunTimeoutMs = 60000;
+
   explicit GraphExecutor(SkadiRuntime* runtime) : runtime_(runtime) {}
 
   // Runs the graph. `source_inputs` binds each source vertex to its input
@@ -46,7 +50,16 @@ class GraphExecutor {
   Result<GraphRunResult> RunToCompletion(
       const PhysicalGraph& graph,
       const std::map<VertexId, std::vector<ObjectRef>>& source_inputs,
-      int64_t timeout_ms = 60000);
+      int64_t timeout_ms = kRunTimeoutMs);
+
+  // Runs the graph, resolves `sink`'s shards with one GetAll, and returns
+  // their deserialized pieces after releasing every object the run's tasks
+  // produced. The pieces stay valid: they alias the sink's refcounted
+  // buffers. A run or gather that fails releases nothing, since its tasks
+  // may still be running or recovering.
+  Result<std::vector<RecordBatch>> RunAndGather(
+      const PhysicalGraph& graph,
+      const std::map<VertexId, std::vector<ObjectRef>>& source_inputs, VertexId sink);
 
  private:
   SkadiRuntime* runtime_;

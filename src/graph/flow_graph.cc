@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 
 #include "src/ir/passes.h"
@@ -53,6 +52,17 @@ Status FlowGraph::AddEdge(VertexId src, VertexId dst, EdgeKind kind,
   }
   edges_.push_back(FlowEdge{src, dst, kind, std::move(keys)});
   return Status::Ok();
+}
+
+void FlowGraph::FoldInto(VertexId producer, VertexId consumer) {
+  std::erase_if(vertices_, [&](const FlowVertex& v) { return v.id == consumer; });
+  std::erase_if(edges_,
+                [&](const FlowEdge& e) { return e.src == producer && e.dst == consumer; });
+  for (FlowEdge& e : edges_) {
+    if (e.src == consumer) {
+      e.src = producer;
+    }
+  }
 }
 
 FlowVertex* FlowGraph::vertex(VertexId id) {
@@ -226,43 +236,23 @@ Result<int> OptimizeFlowGraph(FlowGraph& graph) {
       auto merged_ir = std::make_shared<IrFunction>(std::move(composed).value());
       SKADI_RETURN_IF_ERROR(PassManager::StandardPipeline().Run(*merged_ir));
 
-      // Rebuild the graph: a merged vertex replaces src+dst, and every other
-      // vertex is carried over whole under a fresh id.
-      FlowGraph next;
-      std::map<VertexId, VertexId> remap;
-      for (const FlowVertex& v : graph.vertices()) {
-        if (v.id == dst) {
-          continue;  // folded into the merged vertex
-        }
-        FlowVertex carried = v;
-        if (v.id == src) {
-          carried.name = sv->name + "+" + dv->name;
-          carried.ir = merged_ir;
-          carried.op_class = sv->op_class != OpClass::kGeneric ? sv->op_class : dv->op_class;
-          carried.parallelism_hint =
-              sv->parallelism_hint != 0 ? sv->parallelism_hint : dv->parallelism_hint;
-          carried.backend_hint =
-              sv->backend_hint.has_value() ? sv->backend_hint : dv->backend_hint;
-          carried.compute_threads_hint = sv->compute_threads_hint != 0
-                                             ? sv->compute_threads_hint
-                                             : dv->compute_threads_hint;
-        }
-        carried.id = carried.is_ir() ? next.AddIrVertex(carried.name, carried.ir)
-                                     : next.AddBuiltinVertex(carried.name, carried.builtin);
-        remap[v.id] = carried.id;
-        if (v.id == src) {
-          remap[dst] = carried.id;
-        }
-        *next.vertex(carried.id) = std::move(carried);
+      // src becomes the merged vertex; a hint unset on src comes from dst.
+      FlowVertex* merged = graph.vertex(src);
+      merged->name = sv->name + "+" + dv->name;
+      merged->ir = std::move(merged_ir);
+      if (merged->op_class == OpClass::kGeneric) {
+        merged->op_class = dv->op_class;
       }
-      for (const FlowEdge& e : graph.edges()) {
-        if (e.src == src && e.dst == dst) {
-          continue;  // the fused edge disappears
-        }
-        SKADI_RETURN_IF_ERROR(
-            next.AddEdge(remap[e.src], remap[e.dst], e.kind, e.keys));
+      if (merged->parallelism_hint == 0) {
+        merged->parallelism_hint = dv->parallelism_hint;
       }
-      graph = std::move(next);
+      if (!merged->backend_hint.has_value()) {
+        merged->backend_hint = dv->backend_hint;
+      }
+      if (merged->compute_threads_hint == 0) {
+        merged->compute_threads_hint = dv->compute_threads_hint;
+      }
+      graph.FoldInto(src, dst);
       ++merged_count;
       changed = true;
       break;

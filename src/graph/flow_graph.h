@@ -67,6 +67,13 @@ class FlowGraph {
   Status AddEdge(VertexId src, VertexId dst, EdgeKind kind = EdgeKind::kForward,
                  std::vector<std::string> keys = {});
 
+  // Folds `consumer`, whose only inputs come from `producer`, into
+  // `producer`: drops the consumer and the edges between them, and moves the
+  // consumer's out-edges to the producer in place. Every other vertex and
+  // edge keeps its id and position. The caller gives the producer the merged
+  // computation.
+  void FoldInto(VertexId producer, VertexId consumer);
+
   FlowVertex* vertex(VertexId id);
   const FlowVertex* vertex(VertexId id) const;
   const std::vector<FlowVertex>& vertices() const { return vertices_; }
@@ -95,7 +102,10 @@ class FlowGraph {
 // vertices connected by forward edges into one vertex whose IR is the inlined
 // composition, then runs the standard IR pass pipeline on each merged
 // function — this is what enables *cross-vertex* (and cross-domain) fusion.
-// Returns the number of vertices merged away.
+// Merges happen in place: the merged vertex keeps the producer's id, and
+// every vertex not merged away keeps its own, so source ids always survive
+// (a merged-away consumer has exactly one in-edge). Returns the number of
+// vertices merged away.
 Result<int> OptimizeFlowGraph(FlowGraph& graph);
 
 }  // namespace skadi

@@ -1,7 +1,6 @@
 #include "src/graph/physical.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <sstream>
 #include <variant>
@@ -15,8 +14,6 @@
 namespace skadi {
 
 namespace {
-
-std::atomic<uint64_t> g_lowering_counter{1};
 
 // Task argument layout for vertex shards: args[0] is a header listing the
 // group size per vertex input; the remaining args are the grouped buffers in
@@ -239,7 +236,7 @@ std::string PhysicalGraph::ToString() const {
 }
 
 Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOptions& options,
-                                      FunctionRegistry* registry) {
+                                      const FunctionRegistry* registry) {
   SKADI_RETURN_IF_ERROR(graph.Validate());
   if (options.default_parallelism < 1) {
     return Status::InvalidArgument("default_parallelism must be >= 1");
@@ -249,7 +246,6 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
   }
 
   SKADI_ASSIGN_OR_RETURN(std::vector<VertexId> order, graph.TopoOrder());
-  const uint64_t lowering_id = g_lowering_counter.fetch_add(1);
   auto parallelism_of = [&](VertexId id) {
     const int hint = graph.vertex(id)->parallelism_hint;
     return hint > 0 ? hint : options.default_parallelism;
@@ -257,7 +253,7 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
 
   PhysicalGraph physical;
 
-  // Return layouts first, since every task wrapper captures its vertex's.
+  // Return layouts first, since every task body captures its vertex's.
   // A vertex returns its value when something reads it whole (it is a sink
   // or feeds a forward/broadcast edge); each shuffle edge appends a block.
   std::map<VertexId, ReturnLayout> layouts;
@@ -290,7 +286,6 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
     plan.parallelism = parallelism_of(vid);
     plan.op_class = vertex->op_class;
     plan.returns = layouts[vid];
-    plan.task_function = "vtx." + std::to_string(lowering_id) + "." + vid.ToString();
     const ReturnLayout layout = plan.returns;
     // Vertex hint wins; otherwise the raylet's worker budget flows into the
     // kernels' morsel parallelism.
@@ -342,8 +337,7 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
         plan.backend = best;
       }
 
-      SKADI_RETURN_IF_ERROR(registry->Register(
-          plan.task_function,
+      plan.body = std::make_shared<const TaskFunction>(
           [ir, threads_hint, layout](TaskContext& ctx, std::vector<Buffer>& args)
               -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
@@ -372,20 +366,20 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             }
             return LayoutReturns(layout, std::move(outputs[0]),
                                  eval_options.compute.num_threads);
-          }));
+          });
     } else {
       // Builtin vertex: delegate to the registered handcrafted op, after the
       // same group-merge step so fan-in edges behave identically.
       std::string builtin = vertex->builtin;
-      if (!registry->Contains(builtin)) {
+      Result<std::shared_ptr<const TaskFunction>> found = registry->Lookup(builtin);
+      if (!found.ok()) {
         return Status::NotFound("builtin op '" + builtin + "' of vertex '" + vertex->name +
                                 "' not registered");
       }
+      std::shared_ptr<const TaskFunction> fn = std::move(found).value();
       plan.backend = vertex->backend_hint;
-      FunctionRegistry* reg = registry;
-      SKADI_RETURN_IF_ERROR(registry->Register(
-          plan.task_function,
-          [builtin, reg, threads_hint, layout](TaskContext& ctx, std::vector<Buffer>& args)
+      plan.body = std::make_shared<const TaskFunction>(
+          [builtin, fn, threads_hint, layout](TaskContext& ctx, std::vector<Buffer>& args)
               -> Result<std::vector<Buffer>> {
             SKADI_ASSIGN_OR_RETURN(auto groups, SplitGroups(args));
             std::vector<Buffer> merged;
@@ -394,8 +388,7 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
               SKADI_ASSIGN_OR_RETURN(Buffer m, MergeGroup(group));
               merged.push_back(std::move(m));
             }
-            SKADI_ASSIGN_OR_RETURN(TaskFunction fn, reg->Lookup(builtin));
-            SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> produced, fn(ctx, merged));
+            SKADI_ASSIGN_OR_RETURN(std::vector<Buffer> produced, (*fn)(ctx, merged));
             if (produced.size() != 1) {
               return Status::Internal("builtin op '" + builtin + "' returned " +
                                       std::to_string(produced.size()) +
@@ -403,7 +396,7 @@ Result<PhysicalGraph> LowerToPhysical(const FlowGraph& graph, const LoweringOpti
             }
             return LayoutReturns(layout, std::move(produced[0]),
                                  threads_hint > 0 ? threads_hint : ctx.compute_threads);
-          }));
+          });
     }
     physical.vertices.push_back(std::move(plan));
   }

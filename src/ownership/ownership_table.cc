@@ -94,7 +94,7 @@ void OwnershipTable::FireWatchers(std::vector<Continuation> watchers) const {
   }
 }
 
-Status OwnershipTable::RegisterObject(ObjectId id, TaskId produced_by) {
+Status OwnershipTable::RegisterObject(ObjectId id, std::shared_ptr<const TaskSpec> producer) {
   Shard& s = shard(id);
   ShardLock lock(s.mu, shard_lock_waits_);
   if (s.records.count(id) > 0) {
@@ -103,7 +103,7 @@ Status OwnershipTable::RegisterObject(ObjectId id, TaskId produced_by) {
   OwnershipRecord record;
   record.id = id;
   record.owner = owner_;
-  record.produced_by = produced_by;
+  record.producer = std::move(producer);
   s.records.emplace(id, std::move(record));
   return Status::Ok();
 }
@@ -188,7 +188,7 @@ Status OwnershipTable::MarkLost(ObjectId id) {
   return Status::Ok();
 }
 
-Status OwnershipTable::MarkPendingForReconstruction(ObjectId id, TaskId new_task) {
+Status OwnershipTable::MarkPendingForReconstruction(ObjectId id) {
   Shard& s = shard(id);
   ShardLock lock(s.mu, shard_lock_waits_);
   auto it = s.records.find(id);
@@ -200,7 +200,6 @@ Status OwnershipTable::MarkPendingForReconstruction(ObjectId id, TaskId new_task
                                       " is not lost; cannot reconstruct");
   }
   it->second.state = ObjectState::kPending;
-  it->second.produced_by = new_task;
   return Status::Ok();
 }
 
@@ -232,6 +231,7 @@ Result<OwnershipTable::ResolveReply> OwnershipTable::Resolve(ObjectId id) const 
   reply.size_bytes = record.size_bytes;
   reply.device = record.device;
   reply.device_handle = record.device_handle;
+  reply.producer = record.producer;
   if (!record.locations.empty()) {
     reply.location = *record.locations.begin();
   }
@@ -294,16 +294,6 @@ Result<ObjectState> OwnershipTable::WaitReady(ObjectId id, int64_t timeout_ms) c
   }
 }
 
-Result<TaskId> OwnershipTable::ProducedBy(ObjectId id) const {
-  Shard& s = shard(id);
-  ShardLock lock(s.mu, shard_lock_waits_);
-  auto it = s.records.find(id);
-  if (it == s.records.end()) {
-    return Status::NotFound("object " + id.ToString() + " not owned");
-  }
-  return it->second.produced_by;
-}
-
 Status OwnershipTable::IncRef(ObjectId id) {
   Shard& s = shard(id);
   ShardLock lock(s.mu, shard_lock_waits_);
@@ -323,6 +313,9 @@ Result<bool> OwnershipTable::DecRef(ObjectId id) {
     return Status::NotFound("object " + id.ToString() + " not owned");
   }
   if (--it->second.ref_count <= 0) {
+    // The last record of a task's returns frees its spec, and with it the
+    // body's captures (a query's IR, say): do that after the shard lock.
+    std::shared_ptr<const TaskSpec> producer = std::move(it->second.producer);
     s.records.erase(it);
     std::vector<Continuation> watchers = TakeWatchersLocked(s, id);
     lock.Unlock();

@@ -37,6 +37,10 @@
 
 namespace skadi {
 
+// Defined in src/runtime/task.h; records only hold and hand out shared
+// pointers to it, so this library needs nothing from the runtime.
+struct TaskSpec;
+
 enum class ObjectState {
   kPending,  // producing task not finished
   kReady,    // value sealed somewhere (locations non-empty)
@@ -62,8 +66,10 @@ struct OwnershipRecord {
   // copy, and an opaque handle for its communication driver.
   DeviceId device;
   uint64_t device_handle = 0;
-  // Lineage: the task whose re-execution reproduces this object.
-  TaskId produced_by;
+  // Lineage: the task whose re-execution reproduces this object (null for a
+  // Put). Shared by the records of all its returns, so the spec, its body
+  // and what the body captures are freed with the last of them.
+  std::shared_ptr<const TaskSpec> producer;
   // Reference count (task args in flight + user handles).
   int64_t ref_count = 1;
   // Consumers to push the value to when it becomes ready.
@@ -91,8 +97,9 @@ class OwnershipTable {
   // wire-before-use contract as set_reactor.
   void set_metrics(MetricsRegistry* registry);
 
-  // Creates a pending record (called at task submission for each return).
-  Status RegisterObject(ObjectId id, TaskId produced_by);
+  // Creates a pending record (called at task submission for each return,
+  // with the submitted spec as `producer`, and by Put with none).
+  Status RegisterObject(ObjectId id, std::shared_ptr<const TaskSpec> producer);
 
   // Marks the object ready at `location`; wakes waiters and returns the
   // consumers registered for push-mode resolution (caller pushes to them).
@@ -112,8 +119,8 @@ class OwnershipTable {
   // Explicitly marks an object lost (e.g. the producing task aborted).
   Status MarkLost(ObjectId id);
 
-  // Re-arms a lost record as pending for lineage re-execution.
-  Status MarkPendingForReconstruction(ObjectId id, TaskId new_task);
+  // Re-arms a lost record as pending for re-execution of its producer.
+  Status MarkPendingForReconstruction(ObjectId id);
 
   // Registers a consumer for push-based resolution. If the object is already
   // ready the caller should push immediately; indicated by the return value.
@@ -127,6 +134,8 @@ class OwnershipTable {
     int64_t size_bytes = 0;
     DeviceId device;
     uint64_t device_handle = 0;
+    // The record's lineage, which recovery re-submits.
+    std::shared_ptr<const TaskSpec> producer;
   };
   Result<ResolveReply> Resolve(ObjectId id) const;
 
@@ -145,12 +154,9 @@ class OwnershipTable {
   // calling thread helps drive it while waiting.
   Result<ObjectState> WaitReady(ObjectId id, int64_t timeout_ms = 0) const;
 
-  // Lineage lookup for recovery.
-  Result<TaskId> ProducedBy(ObjectId id) const;
-
   // Reference counting. DecRef returns true when the count hit zero and the
   // record was removed (the caller should then delete the value from the
-  // caching layer).
+  // caching layer). The record's producer is dropped after the shard lock.
   Status IncRef(ObjectId id);
   Result<bool> DecRef(ObjectId id);
 

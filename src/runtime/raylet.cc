@@ -8,10 +8,9 @@
 
 namespace skadi {
 
-Raylet::Raylet(const ClusterNode& node, FunctionRegistry* registry, VirtualClock* clock,
-               Callbacks callbacks, int num_workers)
+Raylet::Raylet(const ClusterNode& node, VirtualClock* clock, Callbacks callbacks,
+               int num_workers)
     : node_(node),
-      registry_(registry),
       clock_(clock),
       callbacks_(std::move(callbacks)),
       workers_("raylet-workers") {
@@ -124,12 +123,6 @@ void Raylet::RunTask(TaskSpec spec) {
                                                          input_bytes);
   clock_->Charge(compute_nanos);
 
-  Result<TaskFunction> fn = registry_->Lookup(spec.function);
-  if (!fn.ok()) {
-    callbacks_.fail(spec, fn.status(), node_.id);
-    return;
-  }
-
   TaskContext ctx;
   ctx.task = spec.id;
   ctx.job = spec.job;
@@ -159,9 +152,9 @@ void Raylet::RunTask(TaskSpec spec) {
       }
       MutexLock serial(record->serial);
       ctx.actor_state = &record->state;
-      return (*fn)(ctx, args);
+      return (*spec.body)(ctx, args);
     }
-    return (*fn)(ctx, args);
+    return (*spec.body)(ctx, args);
   }();
 
   if (!outputs.ok()) {

@@ -48,8 +48,7 @@ class Raylet {
     std::function<void(const TaskSpec& spec, const Status& status, NodeId at)> fail;
   };
 
-  Raylet(const ClusterNode& node, FunctionRegistry* registry, VirtualClock* clock,
-         Callbacks callbacks, int num_workers);
+  Raylet(const ClusterNode& node, VirtualClock* clock, Callbacks callbacks, int num_workers);
   ~Raylet();
 
   Raylet(const Raylet&) = delete;
@@ -67,7 +66,8 @@ class Raylet {
   // as set_runtime; call before traffic (SkadiRuntime's constructor does).
   void set_metrics(MetricsRegistry* registry);
 
-  // Queues a task for execution. Fails when the raylet is dead.
+  // Queues a task for execution; the spec carries the body it runs. Fails
+  // when the raylet is dead.
   Status Enqueue(TaskSpec spec);
 
   // Actor management: actors live on exactly one raylet and their tasks run
@@ -95,7 +95,6 @@ class Raylet {
 
   ClusterNode node_;
   SkadiRuntime* runtime_ = nullptr;
-  FunctionRegistry* registry_;
   VirtualClock* clock_;
   Callbacks callbacks_;
   // Worker pool as a reactor: task readiness is the ready-queue, so the same

@@ -228,8 +228,7 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
     callbacks.fail = [this](const TaskSpec& spec, const Status& status, NodeId at) {
       FailTask(spec, status, at);
     };
-    raylets_[node.id] = std::make_unique<Raylet>(node, registry_,
-                                                 &cluster_->fabric().clock(),
+    raylets_[node.id] = std::make_unique<Raylet>(node, &cluster_->fabric().clock(),
                                                  std::move(callbacks), node.default_workers);
     schedulable.push_back(
         SchedulableNode{node.id, node.device.kind, node.dpu, node.default_workers});
@@ -367,8 +366,8 @@ int SkadiRuntime::ControlMessage(NodeId from, NodeId to, int64_t payload_bytes) 
 }
 
 Result<std::vector<ObjectRef>> SkadiRuntime::Submit(TaskSpec spec) {
-  if (!registry_->Contains(spec.function)) {
-    return Status::NotFound("function '" + spec.function + "' not registered");
+  if (spec.body == nullptr) {
+    SKADI_ASSIGN_OR_RETURN(spec.body, registry_->Lookup(spec.function));
   }
   if (spec.num_returns < 0) {
     return Status::InvalidArgument("num_returns must be >= 0");
@@ -384,17 +383,17 @@ Result<std::vector<ObjectRef>> SkadiRuntime::Submit(TaskSpec spec) {
   spec.id = TaskId::Next();
   spec.owner = cluster_->head();
   spec.returns.clear();
+  for (int i = 0; i < spec.num_returns; ++i) {
+    spec.returns.push_back(ObjectId::Next());
+  }
+  // The lineage copy lives in the returns' ownership records and goes with
+  // the last of them.
+  auto lineage = std::make_shared<const TaskSpec>(spec);
   std::vector<ObjectRef> refs;
   OwnershipTable& table = ownership(spec.owner);
-  for (int i = 0; i < spec.num_returns; ++i) {
-    ObjectId oid = ObjectId::Next();
-    spec.returns.push_back(oid);
-    SKADI_RETURN_IF_ERROR(table.RegisterObject(oid, spec.id));
+  for (ObjectId oid : spec.returns) {
+    SKADI_RETURN_IF_ERROR(table.RegisterObject(oid, lineage));
     refs.push_back(ObjectRef{oid, spec.owner});
-  }
-  {
-    MutexLock lock(mu_);
-    lineage_[spec.id] = spec;
   }
   metrics().GetCounter(names::kRuntimeTasksSubmitted).Increment();
   SKADI_RETURN_IF_ERROR(scheduler_->Submit(std::move(spec)));
@@ -412,7 +411,7 @@ Result<ObjectRef> SkadiRuntime::PutAt(Buffer value, NodeId node) {
   }
   ObjectId id = ObjectId::Next();
   OwnershipTable& table = ownership(head);
-  SKADI_RETURN_IF_ERROR(table.RegisterObject(id, TaskId()));
+  SKADI_RETURN_IF_ERROR(table.RegisterObject(id, nullptr));
   int64_t size = static_cast<int64_t>(value.size());
   SKADI_RETURN_IF_ERROR(cluster_->cache().Put(id, std::move(value), node));
   auto consumers = table.MarkReady(id, node, size, cluster_->node(node)->device.id);
@@ -425,7 +424,7 @@ Result<ObjectRef> SkadiRuntime::PutAt(Buffer value, NodeId node) {
       (void)table.AddLocation(id, replica);
     }
   }
-  scheduler_->MarkObjectReady(id);
+  scheduler_->OnObjectReady(id);
   return ObjectRef{id, head};
 }
 
@@ -815,38 +814,28 @@ void SkadiRuntime::RecoverLostObjects(const std::vector<ObjectRef>& lost) {
   // consume other lost objects; re-arm and re-submit each producing task
   // once. Argument waits inside workers order the re-execution correctly.
   std::vector<ObjectRef> frontier = lost;
-  std::unordered_map<TaskId, TaskSpec> to_resubmit;
+  std::unordered_map<TaskId, std::shared_ptr<const TaskSpec>> to_resubmit;
 
   while (!frontier.empty()) {
     ObjectRef ref = frontier.back();
     frontier.pop_back();
 
-    auto produced = ownership(ref.owner).ProducedBy(ref.id);
-    if (!produced.ok() || !produced->valid()) {
-      // A Put has no producing task to re-run: unrecoverable; leave kLost.
+    auto record = ownership(ref.owner).Resolve(ref.id);
+    if (!record.ok() || record->producer == nullptr) {
+      // A Put has no producing task to re-run, and a released object has no
+      // record: unrecoverable; leave kLost.
       metrics().GetCounter(names::kRuntimeUnrecoverableObjects).Increment();
       continue;
     }
-    const TaskId producer = *produced;
-
-    TaskSpec spec;
-    {
-      MutexLock lock(mu_);
-      auto lit = lineage_.find(producer);
-      if (lit == lineage_.end()) {
-        metrics().GetCounter(names::kRuntimeUnrecoverableObjects).Increment();
-        continue;
-      }
-      spec = lit->second;
-    }
-    if (to_resubmit.count(producer) > 0) {
+    const TaskSpec& spec = *record->producer;
+    if (!to_resubmit.emplace(spec.id, record->producer).second) {
       continue;
     }
 
     // Re-arm every lost return of this producer.
     for (ObjectId ret : spec.returns) {
       // Only returns still recorded as lost re-arm; others were re-created.
-      (void)ownership(spec.owner).MarkPendingForReconstruction(ret, spec.id);
+      (void)ownership(spec.owner).MarkPendingForReconstruction(ret);
     }
 
     // Any lost arguments must be re-produced first; enqueue them too.
@@ -859,12 +848,11 @@ void SkadiRuntime::RecoverLostObjects(const std::vector<ObjectRef>& lost) {
         frontier.push_back(arg.ref());
       }
     }
-    to_resubmit.emplace(producer, std::move(spec));
   }
 
   for (auto& [task, spec] : to_resubmit) {
     metrics().GetCounter(names::kRuntimeLineageReexecutions).Increment();
-    Status resubmitted = scheduler_->Submit(spec);
+    Status resubmitted = scheduler_->Submit(*spec);
     if (!resubmitted.ok()) {
       SKADI_LOG(kWarn) << "lineage re-execution of " << task
                        << " failed: " << resubmitted.ToString();

@@ -65,7 +65,8 @@ class SkadiRuntime {
   // --- Distributed task API ---
 
   // Submits a task; allocates and returns one ObjectRef per declared return.
-  // spec.id/returns/owner are filled in here.
+  // spec.id/returns/owner are filled in here, and spec.body from the
+  // registry when the spec names its function instead of carrying a body.
   Result<std::vector<ObjectRef>> Submit(TaskSpec spec);
 
   // Stores a driver-side value into the caching layer at the head node.
@@ -111,7 +112,8 @@ class SkadiRuntime {
 
   // Kills a node: raylet stops, its store contents vanish, in-flight tasks
   // fail over. With RecoveryMode::kLineage, lost objects are re-produced by
-  // re-submitting their lineage task DAG.
+  // re-submitting their lineage task DAG: each lost object's ownership record
+  // holds the spec that produced it.
   Status KillNode(NodeId node);
 
   // --- Introspection ---
@@ -193,8 +195,6 @@ class SkadiRuntime {
   std::unordered_map<GetOp*, std::weak_ptr<GetOp>> live_ops_ GUARDED_BY(ops_mu_);
 
   mutable Mutex mu_;
-  // task id -> spec
-  std::unordered_map<TaskId, TaskSpec> lineage_ GUARDED_BY(mu_);
   std::unordered_map<ActorId, NodeId> actor_homes_ GUARDED_BY(mu_);
 };
 

@@ -334,8 +334,6 @@ void Scheduler::OnObjectReady(ObjectId id) {
   RouteAll(std::move(to_route));
 }
 
-void Scheduler::MarkObjectReady(ObjectId id) { OnObjectReady(id); }
-
 void Scheduler::TryReleaseGangs() {
   std::vector<TaskSpec> to_route;
   {

@@ -115,9 +115,6 @@ class Scheduler {
   // tasks re-routed, and it leaves the candidate set.
   void OnNodeFailure(NodeId node);
 
-  // Objects the runtime already knows are ready (pre-existing cache entries).
-  void MarkObjectReady(ObjectId id);
-
   size_t pending_tasks() const;
   int64_t inflight_on(NodeId node) const;
   // Tasks currently staged in `node`'s dispatch queue (not yet dispatched).

@@ -23,6 +23,7 @@
 namespace skadi {
 
 class SkadiRuntime;
+struct TaskContext;
 
 // One task argument: an inline value or a future.
 //
@@ -54,13 +55,23 @@ class TaskArg {
   std::optional<ObjectRef> ref_;
 };
 
-// The full description of one task invocation. Specs are kept by the driver
-// as lineage: re-submitting a spec re-produces its outputs (§2.1 failure
-// handling option 1).
+// A task body: consumes materialized argument buffers, returns output
+// buffers (must produce exactly `num_returns`).
+using TaskFunction =
+    std::function<Result<std::vector<Buffer>>(TaskContext&, std::vector<Buffer>&)>;
+
+// The full description of one task invocation. The owner keeps each
+// submitted spec as lineage in the ownership records of its returns:
+// re-submitting it re-produces its outputs (§2.1 failure handling option 1).
 struct TaskSpec {
   TaskId id;
   JobId job;
+  // Registered name of the body; SkadiRuntime::Submit looks it up when
+  // `body` is unset. Otherwise only a label for logs.
   std::string function;
+  // What the raylet runs. The body, and whatever its closure captures (a
+  // vertex's IR, say), lives as long as a copy of the spec does.
+  std::shared_ptr<const TaskFunction> body;
   std::vector<TaskArg> args;
   int num_returns = 1;
   // Pre-allocated output ids (the ownership protocol: the submitting owner
@@ -119,26 +130,23 @@ struct TaskContext {
   trace::Context trace_ctx;
 };
 
-// A task body: consumes materialized argument buffers, returns output
-// buffers (must produce exactly `num_returns`).
-using TaskFunction =
-    std::function<Result<std::vector<Buffer>>(TaskContext&, std::vector<Buffer>&)>;
-
 // Process-wide registry mapping function names to bodies. Registered once at
 // startup (all emulated nodes share the binary, as containers would share an
-// image).
+// image). Code built per query travels in TaskSpec::body instead, so it is
+// freed with the query's specs rather than kept here.
 class FunctionRegistry {
  public:
   Status Register(const std::string& name, TaskFunction fn) {
     MutexLock lock(mu_);
-    auto [it, inserted] = functions_.emplace(name, std::move(fn));
+    auto [it, inserted] =
+        functions_.emplace(name, std::make_shared<const TaskFunction>(std::move(fn)));
     if (!inserted) {
       return Status::AlreadyExists("function '" + name + "' already registered");
     }
     return Status::Ok();
   }
 
-  Result<TaskFunction> Lookup(const std::string& name) const {
+  Result<std::shared_ptr<const TaskFunction>> Lookup(const std::string& name) const {
     MutexLock lock(mu_);
     auto it = functions_.find(name);
     if (it == functions_.end()) {
@@ -147,14 +155,10 @@ class FunctionRegistry {
     return it->second;
   }
 
-  bool Contains(const std::string& name) const {
-    MutexLock lock(mu_);
-    return functions_.count(name) > 0;
-  }
-
  private:
   mutable Mutex mu_;
-  std::unordered_map<std::string, TaskFunction> functions_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::shared_ptr<const TaskFunction>> functions_
+      GUARDED_BY(mu_);
 };
 
 }  // namespace skadi

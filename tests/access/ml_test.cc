@@ -92,7 +92,7 @@ TEST_F(MlTrainTest, ConvergesToTrueWeights) {
   MlTrainOptions options;
   options.epochs = 150;
   options.learning_rate = 0.5;
-  auto model = TrainModel(runtime_.get(), &registry_, MakeShards(4, 64), 2, options);
+  auto model = TrainModel(runtime_.get(), MakeShards(4, 64), 2, options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_NEAR(model->weights.At(0, 0), 2.0, 0.05);
   EXPECT_NEAR(model->weights.At(1, 0), 1.0, 0.05);
@@ -103,7 +103,7 @@ TEST_F(MlTrainTest, LossCurveMonotoneUnderSmallLr) {
   MlTrainOptions options;
   options.epochs = 30;
   options.learning_rate = 0.1;
-  auto model = TrainModel(runtime_.get(), &registry_, MakeShards(2, 64), 2, options);
+  auto model = TrainModel(runtime_.get(), MakeShards(2, 64), 2, options);
   ASSERT_TRUE(model.ok());
   for (size_t i = 1; i < model->loss_curve.size(); ++i) {
     EXPECT_LE(model->loss_curve[i], model->loss_curve[i - 1] + 1e-9) << "epoch " << i;
@@ -115,7 +115,7 @@ TEST_F(MlTrainTest, GangPerEpochStillConverges) {
   options.epochs = 60;
   options.learning_rate = 0.5;
   options.gang_per_epoch = true;
-  auto model = TrainModel(runtime_.get(), &registry_, MakeShards(3, 32), 2, options);
+  auto model = TrainModel(runtime_.get(), MakeShards(3, 32), 2, options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_NEAR(model->weights.At(0, 0), 2.0, 0.2);
   EXPECT_GT(runtime_->metrics().GetCounter("scheduler.gangs_dispatched").value(), 0);
@@ -151,8 +151,8 @@ TEST_F(MlTrainTest, SingleShardEqualsMultiShard) {
   std::vector<std::pair<ObjectRef, ObjectRef>> one = {make_shard(0, 64)};
   std::vector<std::pair<ObjectRef, ObjectRef>> two = {make_shard(0, 32),
                                                       make_shard(32, 64)};
-  auto model1 = TrainModel(runtime_.get(), &registry_, one, 2, options);
-  auto model2 = TrainModel(runtime_.get(), &registry_, two, 2, options);
+  auto model1 = TrainModel(runtime_.get(), one, 2, options);
+  auto model2 = TrainModel(runtime_.get(), two, 2, options);
   ASSERT_TRUE(model1.ok());
   ASSERT_TRUE(model2.ok());
   EXPECT_NEAR(model1->weights.At(0, 0), model2->weights.At(0, 0), 1e-9);
@@ -170,8 +170,8 @@ TEST_F(MlTrainTest, ParameterServerMatchesDriverAveraging) {
   ps_opts.parameter_server = true;
 
   auto shards = MakeShards(3, 32);
-  auto driver_model = TrainModel(runtime_.get(), &registry_, shards, 2, driver_opts);
-  auto ps_model = TrainModel(runtime_.get(), &registry_, shards, 2, ps_opts);
+  auto driver_model = TrainModel(runtime_.get(), shards, 2, driver_opts);
+  auto ps_model = TrainModel(runtime_.get(), shards, 2, ps_opts);
   ASSERT_TRUE(driver_model.ok());
   ASSERT_TRUE(ps_model.ok()) << ps_model.status().ToString();
   EXPECT_NEAR(driver_model->weights.At(0, 0), ps_model->weights.At(0, 0), 1e-9);
@@ -183,7 +183,7 @@ TEST_F(MlTrainTest, ParameterServerConverges) {
   options.epochs = 120;
   options.learning_rate = 0.5;
   options.parameter_server = true;
-  auto model = TrainModel(runtime_.get(), &registry_, MakeShards(4, 32), 2, options);
+  auto model = TrainModel(runtime_.get(), MakeShards(4, 32), 2, options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_NEAR(model->weights.At(0, 0), 2.0, 0.1);
   EXPECT_NEAR(model->weights.At(1, 0), 1.0, 0.1);
@@ -192,8 +192,8 @@ TEST_F(MlTrainTest, ParameterServerConverges) {
 TEST_F(MlTrainTest, InvalidOptionsRejected) {
   MlTrainOptions bad;
   bad.epochs = 0;
-  EXPECT_FALSE(TrainModel(runtime_.get(), &registry_, MakeShards(1, 8), 2, bad).ok());
-  EXPECT_FALSE(TrainModel(runtime_.get(), &registry_, {}, 2, {}).ok());
+  EXPECT_FALSE(TrainModel(runtime_.get(), MakeShards(1, 8), 2, bad).ok());
+  EXPECT_FALSE(TrainModel(runtime_.get(), {}, 2, {}).ok());
 }
 
 TEST_F(MlTrainTest, LogisticSeparatesClasses) {
@@ -214,7 +214,7 @@ TEST_F(MlTrainTest, LogisticSeparatesClasses) {
   options.epochs = 200;
   options.learning_rate = 2.0;
   options.logistic = true;
-  auto model = TrainModel(runtime_.get(), &registry_, shards, 2, options);
+  auto model = TrainModel(runtime_.get(), shards, 2, options);
   ASSERT_TRUE(model.ok());
   EXPECT_GT(model->weights.At(0, 0), 1.0);
   EXPECT_LT(model->loss_curve.back(), model->loss_curve.front());

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "src/common/random.h"
 #include "src/format/serde.h"
+#include "src/ir/dialects.h"
 
 namespace skadi {
 namespace {
@@ -63,6 +66,17 @@ class SkadiTest : public ::testing::Test {
 
   size_t HeadOwnedObjects() {
     return skadi_->runtime().ownership(skadi_->runtime().head()).size();
+  }
+
+  // Polls until `watched` expires or a few seconds pass; the raylet and the
+  // scheduler drop their copies of a spec just after its task completes.
+  template <typename T>
+  static bool ExpiresSoon(const std::weak_ptr<T>& watched) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!watched.expired() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return watched.expired();
   }
 
   std::unique_ptr<Skadi> skadi_;
@@ -196,6 +210,31 @@ TEST_F(SkadiTest, QueriesReleaseTheirIntermediates) {
 
   EXPECT_EQ(StoreBytes(), registered);
   EXPECT_EQ(HeadOwnedObjects(), owned);
+}
+
+// A query's code is freed with its objects: once the gather released them,
+// nothing in the runtime still holds the caller's IR.
+TEST_F(SkadiTest, RunFlowGraphFreesItsIrAfterGather) {
+  Start();
+  ASSERT_TRUE(skadi_->RegisterTable("sales", SalesBatch(100)).ok());
+  std::weak_ptr<IrFunction> watched;
+  {
+    auto count = std::make_shared<IrFunction>("count");
+    ValueId t = count->AddParam(IrType::Table());
+    count->SetReturns({EmitAggregate(*count, t, {}, {{AggKind::kCount, "*", "n"}})});
+    watched = count;
+    FlowGraph graph;
+    VertexId v = graph.AddIrVertex("count", std::move(count), OpClass::kAggregate);
+    auto pieces =
+        skadi_->RunFlowGraph(std::move(graph), {{v, skadi_->TablePartitions("sales")}}, v);
+    ASSERT_TRUE(pieces.ok()) << pieces.status().ToString();
+    int64_t rows = 0;
+    for (const RecordBatch& piece : *pieces) {
+      rows += piece.ColumnByName("n")->Int64At(0);
+    }
+    EXPECT_EQ(rows, 100);
+  }
+  EXPECT_TRUE(ExpiresSoon(watched));
 }
 
 TEST_F(SkadiTest, SqlSelectWhere) {
@@ -400,12 +439,17 @@ TEST_F(SkadiTest, TrainLinearModelRecoversWeights) {
                  {"y", DataType::kFloat64}});
   auto data = RecordBatch::Make(schema, {x0.Finish(), x1.Finish(), y.Finish()});
   ASSERT_TRUE(skadi_->RegisterTable("train", *data, 4).ok());
+  const std::map<NodeId, int64_t> registered = StoreBytes();
+  const size_t owned = HeadOwnedObjects();
 
   MlTrainOptions options;
   options.epochs = 200;
   options.learning_rate = 0.5;
   auto model = skadi_->TrainModel("train", {"x0", "x1"}, "y", options);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
+  // Tensors, weights, gradients and loss probes are all released.
+  EXPECT_EQ(StoreBytes(), registered);
+  EXPECT_EQ(HeadOwnedObjects(), owned);
 
   EXPECT_NEAR(model->weights.At(0, 0), 3.0, 0.1);
   EXPECT_NEAR(model->weights.At(1, 0), -2.0, 0.1);
@@ -430,12 +474,17 @@ TEST_F(SkadiTest, PageRankOnStarGraph) {
   Schema schema({{"src", DataType::kInt64}, {"dst", DataType::kInt64}});
   auto edges = RecordBatch::Make(schema, {src.Finish(), dst.Finish()});
   ASSERT_TRUE(skadi_->RegisterTable("edges", *edges, 2).ok());
+  const std::map<NodeId, int64_t> registered = StoreBytes();
+  const size_t owned = HeadOwnedObjects();
 
   PageRankOptions options;
   options.iterations = 15;
   auto ranks = skadi_->PageRank("edges", options);
   ASSERT_TRUE(ranks.ok()) << ranks.status().ToString();
   ASSERT_EQ(ranks->num_rows(), 7);
+  // Every round's shares and intermediates are released.
+  EXPECT_EQ(StoreBytes(), registered);
+  EXPECT_EQ(HeadOwnedObjects(), owned);
 
   double rank0 = 0;
   double sum = 0;
@@ -468,9 +517,14 @@ TEST_F(SkadiTest, ConnectedComponentsTwoIslands) {
   Schema schema({{"src", DataType::kInt64}, {"dst", DataType::kInt64}});
   auto edges = RecordBatch::Make(schema, {src.Finish(), dst.Finish()});
   ASSERT_TRUE(skadi_->RegisterTable("edges", *edges, 1).ok());
+  const std::map<NodeId, int64_t> registered = StoreBytes();
+  const size_t owned = HeadOwnedObjects();
 
   auto cc = skadi_->ConnectedComponents("edges");
   ASSERT_TRUE(cc.ok()) << cc.status().ToString();
+  // The reversed edges and every round's objects are released.
+  EXPECT_EQ(StoreBytes(), registered);
+  EXPECT_EQ(HeadOwnedObjects(), owned);
   std::map<int64_t, int64_t> component;
   for (int64_t i = 0; i < cc->num_rows(); ++i) {
     component[cc->ColumnByName("vertex")->Int64At(i)] =

@@ -269,7 +269,7 @@ TEST_F(GraphExecTest, LostPartitionOfFusedTaskIsRebuiltByLineage) {
   }
   RecordBatch input = NumbersBatch(0, 100);
   TaskSpec spec;
-  spec.function = producer.task_function;
+  spec.body = producer.body;
   spec.args.push_back(TaskArg::Value(MakeVertexArgHeader({1})));
   spec.args.push_back(TaskArg::Ref(PutBatch(input)));
   spec.num_returns = producer.returns.num_returns();

@@ -157,6 +157,39 @@ TEST(OptimizeFlowGraphTest, PreservesSurroundingEdges) {
   EXPECT_EQ(g.edges()[0].kind, EdgeKind::kShuffle);
 }
 
+TEST(OptimizeFlowGraphTest, MergeKeepsProducerAndUntouchedVertexIds) {
+  FlowGraph g;
+  VertexId scan = g.AddIrVertex("scan", FilterFn(0));
+  VertexId filter = g.AddIrVertex("filter", FilterFn(1));
+  VertexId dim = g.AddIrVertex("dim", FilterFn(2));
+  VertexId agg = g.AddIrVertex("agg", FilterFn(3));
+  ASSERT_TRUE(g.AddEdge(scan, filter).ok());
+  ASSERT_TRUE(g.AddEdge(filter, agg, EdgeKind::kShuffle, {"x"}).ok());
+  ASSERT_TRUE(g.AddEdge(dim, agg, EdgeKind::kBroadcast).ok());
+  auto merged = OptimizeFlowGraph(g);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, 1);
+  // The merged vertex is the producer, under its id and in its position;
+  // the consumer is gone and every other vertex is where it was.
+  EXPECT_EQ(g.vertex(filter), nullptr);
+  ASSERT_EQ(g.vertices().size(), 3u);
+  EXPECT_EQ(g.vertices()[0].id, scan);
+  EXPECT_EQ(g.vertices()[0].name, "scan+filter");
+  EXPECT_EQ(g.vertices()[1].id, dim);
+  EXPECT_EQ(g.vertices()[1].name, "dim");
+  EXPECT_EQ(g.vertices()[2].id, agg);
+  EXPECT_EQ(g.vertices()[2].name, "agg");
+  // The fused edge is dropped and the consumer's out-edge now leaves the
+  // merged vertex, ahead of the untouched edge as before.
+  ASSERT_EQ(g.edges().size(), 2u);
+  EXPECT_EQ(g.edges()[0].src, scan);
+  EXPECT_EQ(g.edges()[0].dst, agg);
+  EXPECT_EQ(g.edges()[0].kind, EdgeKind::kShuffle);
+  EXPECT_EQ(g.edges()[1].src, dim);
+  EXPECT_EQ(g.edges()[1].dst, agg);
+  EXPECT_EQ(g.Sources(), (std::vector<VertexId>{scan, dim}));
+}
+
 TEST(OptimizeFlowGraphTest, MergedAndUntouchedVerticesKeepTheirHints) {
   FlowGraph g;
   VertexId a = g.AddIrVertex("f1", FilterFn(0));

@@ -57,12 +57,24 @@ TEST(PhysicalLoweringTest, NumInputsFromIrParams) {
 }
 
 TEST(PhysicalLoweringTest, VertexFunctionsRegistered) {
+  // Each plan carries its own body; a builtin vertex's wraps the function
+  // registered under its name, looked up here.
   FlowGraph g;
-  VertexId v = g.AddIrVertex("a", Identity());
+  VertexId ir = g.AddIrVertex("a", Identity());
+  VertexId builtin = g.AddBuiltinVertex("b", "handcrafted");
+  ASSERT_TRUE(g.AddEdge(ir, builtin).ok());
   FunctionRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register("handcrafted",
+                            [](TaskContext&, std::vector<Buffer>& args)
+                                -> Result<std::vector<Buffer>> { return args; })
+                  .ok());
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
-  EXPECT_TRUE(registry.Contains(physical->plan(v)->task_function));
+  ASSERT_EQ(physical->vertices.size(), 2u);
+  for (const PhysicalVertexPlan& plan : physical->vertices) {
+    EXPECT_NE(plan.body, nullptr) << plan.name;
+  }
 }
 
 TEST(PhysicalLoweringTest, ShuffleEdgeAddsReturnBlock) {
@@ -75,7 +87,7 @@ TEST(PhysicalLoweringTest, ShuffleEdgeAddsReturnBlock) {
   auto physical = LowerToPhysical(g, {}, &registry);
   ASSERT_TRUE(physical.ok());
   // The producer returns only its partitions, one per consumer shard; no
-  // task function beyond the two vertices' own is registered.
+  // task body beyond the two vertices' own is built.
   const ReturnLayout& layout = physical->plan(a)->returns;
   EXPECT_FALSE(layout.value);
   ASSERT_EQ(layout.shuffles.size(), 1u);

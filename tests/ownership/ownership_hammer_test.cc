@@ -24,8 +24,7 @@ TEST(OwnershipHammerTest, ConcurrentLifecycles) {
     NodeId location(100 + tid);
     for (int i = 0; i < kObjectsPerThread; ++i) {
       ObjectId id = ObjectId::Next();
-      TaskId task = TaskId::Next();
-      ASSERT_TRUE(table.RegisterObject(id, task).ok());
+      ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
 
       // Consumers registered while pending must be handed back by MarkReady.
       auto pre = table.RegisterConsumer(id, {TaskId::Next(), location, DeviceId()});
@@ -81,7 +80,7 @@ TEST(OwnershipHammerTest, ConcurrentFailureAndRecovery) {
     for (int i = 0; i < kObjectsPerThread; ++i) {
       ObjectId id = ObjectId::Next();
       ids[tid * kObjectsPerThread + i] = id;
-      ASSERT_TRUE(table.RegisterObject(id, TaskId::Next()).ok());
+      ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
       ASSERT_TRUE(table.MarkReady(id, flaky, 32).ok());
       produced.fetch_add(1);
     }
@@ -93,7 +92,7 @@ TEST(OwnershipHammerTest, ConcurrentFailureAndRecovery) {
         // Concurrent DecRef/recovery may have removed or re-armed it; any
         // status outcome is fine, the table just must not corrupt itself.
         // analyze:allow status-propagation (any status is fine under the race)
-        Status s = table.MarkPendingForReconstruction(id, TaskId::Next());
+        Status s = table.MarkPendingForReconstruction(id);
         if (s.ok()) {
           ASSERT_TRUE(table.MarkReady(id, stable, 32).ok());
         }
@@ -147,7 +146,7 @@ TEST_P(ShardedWatchStormTest, WatchersFireExactlyOnce) {
   for (int i = 0; i < kObjects; ++i) {
     ObjectId id = ObjectId::Next();
     ids.push_back(id);
-    ASSERT_TRUE(table.RegisterObject(id, TaskId::Next()).ok());
+    ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
   }
 
   std::atomic<int> registered{0};  // watchers that saw kPending

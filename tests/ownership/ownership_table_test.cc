@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/clock.h"
+#include "src/runtime/task.h"
 
 namespace skadi {
 namespace {
@@ -17,7 +18,7 @@ class OwnershipTableTest : public ::testing::Test {
 
   ObjectId Register() {
     ObjectId id = ObjectId::Next();
-    EXPECT_TRUE(table_.RegisterObject(id, TaskId::Next()).ok());
+    EXPECT_TRUE(table_.RegisterObject(id, nullptr).ok());
     return id;
   }
 
@@ -35,7 +36,7 @@ TEST_F(OwnershipTableTest, RegisterStartsPending) {
 
 TEST_F(OwnershipTableTest, DuplicateRegisterFails) {
   ObjectId id = Register();
-  EXPECT_EQ(table_.RegisterObject(id, TaskId::Next()).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(table_.RegisterObject(id, nullptr).code(), StatusCode::kAlreadyExists);
 }
 
 TEST_F(OwnershipTableTest, MarkReadyRecordsLocationAndDevice) {
@@ -107,20 +108,21 @@ TEST_F(OwnershipTableTest, ReplicaLocationSurvivesFailure) {
 }
 
 TEST_F(OwnershipTableTest, ReconstructionReArmsLostObject) {
-  ObjectId id = Register();
+  ObjectId id = ObjectId::Next();
+  auto producer = std::make_shared<const TaskSpec>();
+  ASSERT_TRUE(table_.RegisterObject(id, producer).ok());
   NodeId loc = NodeId::Next();
   ASSERT_TRUE(table_.MarkReady(id, loc, 1).ok());
   table_.OnNodeFailure(loc);
-  TaskId new_task = TaskId::Next();
-  ASSERT_TRUE(table_.MarkPendingForReconstruction(id, new_task).ok());
-  EXPECT_EQ(table_.Resolve(id)->state, ObjectState::kPending);
-  EXPECT_EQ(*table_.ProducedBy(id), new_task);
+  ASSERT_TRUE(table_.MarkPendingForReconstruction(id).ok());
+  auto reply = table_.Resolve(id);
+  EXPECT_EQ(reply->state, ObjectState::kPending);
+  EXPECT_EQ(reply->producer, producer);  // the same lineage re-runs
 }
 
 TEST_F(OwnershipTableTest, ReconstructionRequiresLostState) {
   ObjectId id = Register();
-  EXPECT_EQ(table_.MarkPendingForReconstruction(id, TaskId::Next()).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(table_.MarkPendingForReconstruction(id).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(OwnershipTableTest, WaitReadyBlocksUntilMarkReady) {
@@ -253,7 +255,7 @@ TEST_F(OwnershipTableTest, TeardownWithQueuedAndUnfiredWatchers) {
     table.set_reactor(&reactor);
     for (int i = 0; i < 8; ++i) {
       ObjectId id = ObjectId::Next();
-      ASSERT_TRUE(table.RegisterObject(id, TaskId::Next()).ok());
+      ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
       ASSERT_TRUE(
           table.StateOrWatch(id, [fired] { fired->fetch_add(1); }).ok());
       if (i % 2 == 0) {

@@ -15,13 +15,13 @@ class AutoscalerTest : public ::testing::Test {
     node_.role = NodeRole::kServer;
     node_.device = MakeCpuDevice("as-test");
     node_.store = std::make_shared<LocalObjectStore>(node_.device.id, 1 << 20);
-    EXPECT_TRUE(registry_.Register("hold", [this](TaskContext&, std::vector<Buffer>&)
-                                   -> Result<std::vector<Buffer>> {
-      while (hold_.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return std::vector<Buffer>{Buffer()};
-    }).ok());
+    hold_body_ = std::make_shared<const TaskFunction>(
+        [this](TaskContext&, std::vector<Buffer>&) -> Result<std::vector<Buffer>> {
+          while (hold_.load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          return std::vector<Buffer>{Buffer()};
+        });
 
     Raylet::Callbacks callbacks;
     callbacks.resolve_arg = [](const ObjectRef&, const TaskSpec&) -> Result<Buffer> {
@@ -32,19 +32,20 @@ class AutoscalerTest : public ::testing::Test {
       return Status::Ok();
     };
     callbacks.fail = [this](const TaskSpec&, const Status&, NodeId) { done_.fetch_add(1); };
-    raylet_ = std::make_unique<Raylet>(node_, &registry_, &clock_, callbacks, 1);
+    raylet_ = std::make_unique<Raylet>(node_, &clock_, callbacks, 1);
   }
 
   void EnqueueHolds(int n) {
     for (int i = 0; i < n; ++i) {
       TaskSpec spec = Call("hold", {});
       spec.id = TaskId::Next();
+      spec.body = hold_body_;
       ASSERT_TRUE(raylet_->Enqueue(spec).ok());
     }
   }
 
   ClusterNode node_;
-  FunctionRegistry registry_;
+  std::shared_ptr<const TaskFunction> hold_body_;
   VirtualClock clock_;
   MetricsRegistry metrics_;
   std::unique_ptr<Raylet> raylet_;

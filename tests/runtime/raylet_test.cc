@@ -43,7 +43,18 @@ class RayletTest : public ::testing::Test {
       failed_.emplace_back(spec.id, status);
       cv_.NotifyAll();
     };
-    return std::make_unique<Raylet>(node_, &registry_, &clock_, callbacks, workers);
+    return std::make_unique<Raylet>(node_, &clock_, callbacks, workers);
+  }
+
+  // A one-return spec carrying its registered body, as Submit would hand it
+  // down.
+  TaskSpec Task(const std::string& function, std::vector<TaskArg> args) {
+    TaskSpec spec = Call(function, std::move(args));
+    spec.id = TaskId::Next();
+    auto body = registry_.Lookup(function);
+    EXPECT_TRUE(body.ok()) << body.status().ToString();
+    spec.body = body.ok() ? *body : nullptr;
+    return spec;
   }
 
   // Waits until `n` completions+failures accumulated.
@@ -70,8 +81,7 @@ class RayletTest : public ::testing::Test {
 
 TEST_F(RayletTest, ExecutesValueTask) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("inc_i64", {TaskArg::Value(I64Buffer(9))});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("inc_i64", {TaskArg::Value(I64Buffer(9))});
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(completed_.size(), 1u);
@@ -83,8 +93,7 @@ TEST_F(RayletTest, ResolvesRefArgsThroughCallback) {
   auto raylet = MakeRaylet();
   ObjectId dep = ObjectId::Next();
   resolvable_[dep] = I64Buffer(41);
-  TaskSpec spec = Call("inc_i64", {TaskArg::Ref({dep, NodeId::Next()})});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("inc_i64", {TaskArg::Ref({dep, NodeId::Next()})});
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(completed_.size(), 1u);
@@ -93,8 +102,7 @@ TEST_F(RayletTest, ResolvesRefArgsThroughCallback) {
 
 TEST_F(RayletTest, UnresolvableArgFailsTask) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("inc_i64", {TaskArg::Ref({ObjectId::Next(), NodeId::Next()})});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("inc_i64", {TaskArg::Ref({ObjectId::Next(), NodeId::Next()})});
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
@@ -102,20 +110,9 @@ TEST_F(RayletTest, UnresolvableArgFailsTask) {
   EXPECT_EQ(raylet->tasks_executed(), 0);
 }
 
-TEST_F(RayletTest, UnknownFunctionFails) {
-  auto raylet = MakeRaylet();
-  TaskSpec spec = Call("mystery", {});
-  spec.id = TaskId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
-  AwaitOutcomes(1);
-  ASSERT_EQ(failed_.size(), 1u);
-  EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);
-}
-
 TEST_F(RayletTest, WrongReturnCountFails) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer::FromString("x"))});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("echo", {TaskArg::Value(Buffer::FromString("x"))});
   spec.num_returns = 2;  // echo produces 1
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);
@@ -125,8 +122,7 @@ TEST_F(RayletTest, WrongReturnCountFails) {
 
 TEST_F(RayletTest, ChargesFixedComputeNanos) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("echo", {TaskArg::Value(Buffer())});
   spec.fixed_compute_nanos = 123456;
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);
@@ -135,8 +131,7 @@ TEST_F(RayletTest, ChargesFixedComputeNanos) {
 
 TEST_F(RayletTest, ChargesCostModelByDefault) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer::Zeros(1 << 20))});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("echo", {TaskArg::Value(Buffer::Zeros(1 << 20))});
   spec.op_class = OpClass::kScan;
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);
@@ -152,12 +147,10 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     return std::vector<Buffer>{Buffer()};
   }).ok());
-  TaskSpec blocker = Call("block_20ms", {});
-  blocker.id = TaskId::Next();
+  TaskSpec blocker = Task("block_20ms", {});
   ASSERT_TRUE(raylet->Enqueue(blocker).ok());
   for (int i = 0; i < 3; ++i) {
-    TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
-    spec.id = TaskId::Next();
+    TaskSpec spec = Task("echo", {TaskArg::Value(Buffer())});
     ASSERT_TRUE(raylet->Enqueue(spec).ok());
   }
   raylet->Kill();
@@ -170,7 +163,7 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
   for (auto& [task, status] : failed_) {
     EXPECT_EQ(status.code(), StatusCode::kAborted);
   }
-  EXPECT_FALSE(raylet->Enqueue(Call("echo", {})).ok());
+  EXPECT_FALSE(raylet->Enqueue(Task("echo", {})).ok());
 }
 
 TEST_F(RayletTest, WorkerGrowthIncreasesParallelism) {
@@ -199,8 +192,7 @@ TEST_F(RayletTest, ActorStatePersistsAcrossTasks) {
   EXPECT_EQ(raylet->CreateActor(actor, nullptr).code(), StatusCode::kAlreadyExists);
 
   for (const char* c : {"a", "b", "c"}) {
-    TaskSpec spec = Call("append_char", {TaskArg::Value(Buffer::FromString(c))});
-    spec.id = TaskId::Next();
+    TaskSpec spec = Task("append_char", {TaskArg::Value(Buffer::FromString(c))});
     spec.actor = actor;
     ASSERT_TRUE(raylet->Enqueue(spec).ok());
   }
@@ -212,8 +204,7 @@ TEST_F(RayletTest, ActorStatePersistsAcrossTasks) {
 
 TEST_F(RayletTest, ActorTaskWithoutActorFails) {
   auto raylet = MakeRaylet();
-  TaskSpec spec = Call("echo", {TaskArg::Value(Buffer())});
-  spec.id = TaskId::Next();
+  TaskSpec spec = Task("echo", {TaskArg::Value(Buffer())});
   spec.actor = ActorId::Next();
   ASSERT_TRUE(raylet->Enqueue(spec).ok());
   AwaitOutcomes(1);

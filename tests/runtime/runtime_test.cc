@@ -502,9 +502,9 @@ TEST_F(RuntimeTest, LocalityPolicyPlacesComputeAtData) {
   }
   ObjectId big = ObjectId::Next();
   ASSERT_TRUE(cluster_->cache().Put(big, Buffer::Zeros(8 * 1024 * 1024), target).ok());
-  ASSERT_TRUE(runtime_->ownership(cluster_->head()).RegisterObject(big, TaskId()).ok());
+  ASSERT_TRUE(runtime_->ownership(cluster_->head()).RegisterObject(big, nullptr).ok());
   ASSERT_TRUE(runtime_->ownership(cluster_->head()).MarkReady(big, target, 8 * 1024 * 1024).ok());
-  runtime_->scheduler().MarkObjectReady(big);
+  runtime_->scheduler().OnObjectReady(big);
 
   int64_t executed_before = runtime_->raylet(target)->tasks_executed();
   auto refs = runtime_->Submit(
@@ -764,6 +764,36 @@ TEST_F(RuntimeTest, LineageRecoveryReproducesLostObject) {
   EXPECT_GE(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 1);
 }
 
+TEST_F(RuntimeTest, SpecBodyFreedWithItsLastReturn) {
+  // The owner keeps a spec as lineage in its returns' records, so the body
+  // (and what it captures) lives until the last return is released.
+  Build();
+  TaskSpec spec;
+  spec.body = std::make_shared<const TaskFunction>(
+      [](TaskContext&, std::vector<Buffer>&) -> Result<std::vector<Buffer>> {
+        return std::vector<Buffer>{I64Buffer(1), I64Buffer(2)};
+      });
+  spec.num_returns = 2;
+  std::weak_ptr<const TaskFunction> body = spec.body;
+  auto refs = runtime_->Submit(std::move(spec));
+  ASSERT_TRUE(refs.ok()) << refs.status().ToString();
+  auto values = runtime_->GetAll(*refs, 10000);
+  ASSERT_TRUE(values.ok()) << values.status().ToString();
+  EXPECT_EQ(I64Of((*values)[1]), 2);
+
+  ASSERT_TRUE(runtime_->Release((*refs)[0]).ok());
+  // The other return still holds it, and so can still be recovered.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(body.expired());
+  ASSERT_TRUE(runtime_->Release((*refs)[1]).ok());
+  // The raylet and the scheduler drop their copies just after completion.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!body.expired() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(body.expired());
+}
+
 TEST_F(RuntimeTest, RecoveryDisabledReportsDataLoss) {
   RuntimeOptions options;
   options.recovery = RecoveryMode::kNone;
@@ -805,7 +835,7 @@ TEST_F(RuntimeTest, LostObjectsWithoutLineageCountAsUnrecoverable) {
   ASSERT_TRUE(put.ok());
   OwnershipTable& table = runtime_->ownership(cluster_->head());
   const ObjectId registered = ObjectId::Next();
-  ASSERT_TRUE(table.RegisterObject(registered, TaskId()).ok());
+  ASSERT_TRUE(table.RegisterObject(registered, nullptr).ok());
   ASSERT_TRUE(table.MarkReady(registered, victim, 8).ok());
 
   ASSERT_TRUE(runtime_->KillNode(victim).ok());

@@ -108,8 +108,8 @@ TEST_F(SchedulerTest, LocalityFollowsBytes) {
   ObjectId small = ObjectId::Next();
   ASSERT_TRUE(cache_->Put(big, Buffer::Zeros(1024 * 1024), node_ids_[2]).ok());
   ASSERT_TRUE(cache_->Put(small, Buffer::Zeros(64), node_ids_[0]).ok());
-  scheduler->MarkObjectReady(big);
-  scheduler->MarkObjectReady(small);
+  scheduler->OnObjectReady(big);
+  scheduler->OnObjectReady(small);
 
   ASSERT_TRUE(scheduler->Submit(MakeTask({TaskArg::Ref({big, NodeId()}),
                               TaskArg::Ref({small, NodeId()})})).ok());
