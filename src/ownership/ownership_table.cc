@@ -87,9 +87,6 @@ void OwnershipTable::FireWatchers(std::vector<Continuation> watchers) const {
                    static_cast<int64_t>(watchers.size()), "watchers");
   }
   for (Continuation& w : watchers) {
-    if (reactor_ != nullptr && reactor_->Post(w)) {
-      continue;  // copy posted; a stopped reactor falls through to inline
-    }
     w();
   }
 }

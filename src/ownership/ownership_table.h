@@ -18,6 +18,12 @@
 // so they see a per-shard-consistent (not globally atomic) snapshot — which
 // is all their callers need. `num_shards == 1` degenerates to the old
 // single-lock table and serves as the bench baseline.
+//
+// The records are the runtime's one source of readiness: driver Gets,
+// argument resolution and the scheduler's parked tasks all wait on them
+// through StateOrWatch. Watchers run on the thread that flips the state,
+// after the shard lock is released; a watcher that must not run there
+// (GetOp's) hops to a reactor itself.
 #ifndef SRC_OWNERSHIP_OWNERSHIP_TABLE_H_
 #define SRC_OWNERSHIP_OWNERSHIP_TABLE_H_
 
@@ -87,9 +93,10 @@ class OwnershipTable {
   NodeId owner() const { return owner_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  // Wires the reactor that ownership-readiness continuations are posted to.
-  // Unset (standalone tables in unit tests), watchers run inline on the
-  // thread that flips the state. Wire before concurrent use; not synchronized.
+  // Names the reactor that WaitReady drives while it blocks, so a caller on
+  // that reactor's driver keeps it running. Unset (standalone tables in unit
+  // tests), WaitReady parks on its Event. Wire before concurrent use; not
+  // synchronized.
   void set_reactor(Reactor* reactor) { reactor_ = reactor; }
 
   // Wires watcher telemetry (ownership.* registrations/fires counters, the
@@ -101,7 +108,7 @@ class OwnershipTable {
   // with the submitted spec as `producer`, and by Put with none).
   Status RegisterObject(ObjectId id, std::shared_ptr<const TaskSpec> producer);
 
-  // Marks the object ready at `location`; wakes waiters and returns the
+  // Marks the object ready at `location`; runs its watchers and returns the
   // consumers registered for push-mode resolution (caller pushes to them).
   Result<std::vector<ConsumerRegistration>> MarkReady(ObjectId id, NodeId location,
                                                       int64_t size_bytes,
@@ -143,9 +150,10 @@ class OwnershipTable {
   // that state is kPending — registers `watcher` to fire once the object
   // next leaves kPending (ready, lost, or released; re-probe to learn
   // which). For any other state the watcher is dropped unrun. Watchers fire
-  // at most once, on the wiring reactor if set, else inline on the thread
-  // that flipped the state. This is the continuation-based replacement for
-  // parking a thread in WaitReady.
+  // at most once, on the thread that flipped the state (inside MarkReady,
+  // MarkLost, OnNodeFailure or DecRef), after the shard lock is released.
+  // This is the continuation-based replacement for parking a thread in
+  // WaitReady.
   Result<ObjectState> StateOrWatch(ObjectId id, Continuation watcher) const;
 
   // Blocks until the object leaves kPending (ready or lost). Returns the
@@ -183,8 +191,7 @@ class OwnershipTable {
   // Detaches the watchers registered for `id` in `s`, if any.
   std::vector<Continuation> TakeWatchersLocked(Shard& s, ObjectId id) const
       REQUIRES(s.mu);
-  // Runs detached watchers: posted to the wired reactor, inline otherwise.
-  // Never called with a shard mutex held.
+  // Runs detached watchers inline. Never called with a shard mutex held.
   void FireWatchers(std::vector<Continuation> watchers) const;
 
   NodeId owner_;

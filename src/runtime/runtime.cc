@@ -24,7 +24,8 @@ namespace skadi {
 // wake-up (watcher while pending, timer while lost) and the next Step runs
 // when it fires, so backoff_nanos_/lost_rounds_ need no lock. Only the
 // deadline timer runs concurrently with the chain, and it touches nothing
-// but the atomics.
+// but the atomics. The ownership watcher runs on the thread that flips the
+// object's state and only posts the next Step to the control reactor.
 struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   // kDriverGet fetches to the head node and charges the driver->owner
   // control hop; kArgResolve fetches to the consuming node and caps lost
@@ -85,7 +86,7 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
       }
       auto self = shared_from_this();
       Result<ObjectState> state =
-          rt_->ownership(ref_.owner).StateOrWatch(ref_.id, [self] { self->Step(); });
+          rt_->ownership(ref_.owner).StateOrWatch(ref_.id, [self] { self->Resume(); });
       if (!state.ok()) {
         Finish(state.status());
         return;
@@ -125,6 +126,15 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
         }
       }
       return;
+    }
+  }
+
+  // The watcher's hop: the next Step runs on the control reactor, or inline
+  // once the reactor has stopped.
+  void Resume() {
+    auto self = shared_from_this();
+    if (!reactor().Post([self] { self->Step(); })) {
+      Step();
     }
   }
 
@@ -205,8 +215,8 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
   std::vector<SchedulableNode> schedulable;
   for (const ClusterNode& node : cluster_->nodes()) {
     ownership_[node.id] = std::make_unique<OwnershipTable>(node.id);
-    // Ownership watchers (GetOp chains, WaitReady wake-ups) run on the
-    // control reactor instead of the state-flipping thread.
+    // WaitReady drives the control reactor while it blocks, so a Wait on
+    // the reactor's own driver still lets GetOp Steps run.
     ownership_[node.id]->set_reactor(&control_);
     if (!node.is_compute()) {
       continue;
@@ -234,9 +244,13 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
         SchedulableNode{node.id, node.device.kind, node.dpu, node.default_workers});
   }
 
+  // Parked tasks wait on their arguments' owner records.
   scheduler_ = std::make_unique<Scheduler>(
       &cluster_->cache(), &metrics(), options_.policy,
       [this](const TaskSpec& spec, NodeId target) { return DispatchToNode(spec, target); },
+      [this](const ObjectRef& ref, Continuation on_resolved) {
+        return ownership(ref.owner).StateOrWatch(ref.id, std::move(on_resolved));
+      },
       options_.seed);
   scheduler_->SetNodes(std::move(schedulable));
 
@@ -414,17 +428,17 @@ Result<ObjectRef> SkadiRuntime::PutAt(Buffer value, NodeId node) {
   SKADI_RETURN_IF_ERROR(table.RegisterObject(id, nullptr));
   int64_t size = static_cast<int64_t>(value.size());
   SKADI_RETURN_IF_ERROR(cluster_->cache().Put(id, std::move(value), node));
-  auto consumers = table.MarkReady(id, node, size, cluster_->node(node)->device.id);
-  if (!consumers.ok()) {
-    return consumers.status();
-  }
+  // Replicas first, as in CompleteTask: MarkReady admits parked consumers.
   for (NodeId replica : cluster_->cache().Locations(id)) {
     if (replica != node) {
       // Best-effort replica bookkeeping: the record may already be gone.
       (void)table.AddLocation(id, replica);
     }
   }
-  scheduler_->OnObjectReady(id);
+  auto consumers = table.MarkReady(id, node, size, cluster_->node(node)->device.id);
+  if (!consumers.ok()) {
+    return consumers.status();
+  }
   return ObjectRef{id, head};
 }
 
@@ -547,8 +561,6 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
   const ClusterNode* node = cluster_->node(at);
   OwnershipTable& table = ownership(spec.owner);
 
-  std::vector<ObjectId> ready;
-  ready.reserve(outputs.size());
   Status status = Status::Ok();
   for (size_t i = 0; i < outputs.size(); ++i) {
     ObjectId oid = spec.returns[i];
@@ -570,6 +582,8 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
       }
     }
     // Notify the owner (device-aware: record where the value physically is).
+    // Its watchers fire inside MarkReady: parked dependents are admitted
+    // here, on this worker.
     ControlMessage(at, spec.owner);
     auto consumers = table.MarkReady(oid, at, size, node->device.id,
                                      /*device_handle=*/node->device.id.value());
@@ -585,24 +599,18 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
         push_batcher_->Add(spec.owner, PushEntry{oid, consumer.task, consumer.node});
       }
     }
-    ready.push_back(oid);
   }
 
-  // Deliver every batched push before releasing dependents, so a consumer
-  // dispatched by OnObjectReady finds its argument already local. Pushes for
-  // the same destination across ALL of this task's outputs ride one message.
-  // The error paths flush too: nothing else would deliver what earlier
-  // outputs queued.
+  // Deliver every batched push before the task counts as finished. Pushes
+  // for the same destination across ALL of this task's outputs ride one
+  // message. (A dependent admitted inside MarkReady pushes its own
+  // already-ready arguments at dispatch.) The error paths flush too:
+  // nothing else would deliver what earlier outputs queued.
   if (push_batcher_ != nullptr) {
     push_batcher_->FlushAll();
   }
   if (!status.ok()) {
     return status;
-  }
-  for (ObjectId oid : ready) {
-    // Unblock dependents.
-    ControlMessage(spec.owner, cluster_->head());
-    scheduler_->OnObjectReady(oid);
   }
 
   metrics().GetCounter(names::kRuntimeTasksCompleted).Increment();
@@ -622,12 +630,11 @@ void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId a
     scheduler_->OnTaskAborted(spec, at);
     return;
   }
-  // Non-abort failures are terminal: mark outputs lost so Get unblocks,
-  // and release parked dependents — their argument resolution will fail
-  // fast and propagate the error instead of hanging the job.
+  // Non-abort failures are terminal: mark outputs lost so Get unblocks.
+  // MarkLost also admits parked dependents, whose argument resolution then
+  // fails fast and propagates the error instead of hanging the job.
   for (ObjectId oid : spec.returns) {
     (void)ownership(spec.owner).MarkLost(oid);  // record may already be released
-    scheduler_->OnObjectReady(oid);
   }
   scheduler_->OnTaskFinished(spec.id);
 }
@@ -716,12 +723,13 @@ Status SkadiRuntime::Wait(const std::vector<ObjectRef>& refs, int64_t timeout_ms
   if (timeout_ms < 0) {
     timeout_ms = kDefaultGetTimeoutMs;
   }
-  const int64_t deadline = NowNanos() + timeout_ms * 1000000;
+  const int64_t deadline = NowNanos() + timeout_ms * 1'000'000;
   for (const ObjectRef& ref : refs) {
-    int64_t remaining_ms = (deadline - NowNanos()) / 1000000;
-    if (remaining_ms <= 0) {
-      return Status::DeadlineExceeded("Wait timed out");
-    }
+    // WaitReady checks the state before the clock, so a resolved ref passes
+    // whatever budget is left. The budget rounds up and never reaches 0,
+    // which WaitReady reads as "forever".
+    const int64_t remaining_ms =
+        std::max<int64_t>(1, (deadline - NowNanos() + 999'999) / 1'000'000);
     auto state = ownership(ref.owner).WaitReady(ref.id, remaining_ms);
     if (!state.ok()) {
       return state.status();
@@ -794,14 +802,9 @@ Status SkadiRuntime::KillNode(NodeId node) {
 
   // 4. Re-produce lost objects via lineage (before re-dispatching, so
   // re-dispatched consumers park on the re-armed objects instead of reading
-  // kLost).
+  // kLost). Without recovery, consumers fail fast on resolve.
   if (options_.recovery == RecoveryMode::kLineage) {
     RecoverLostObjects(lost);
-  } else {
-    // No recovery: unblock parked dependents so they fail fast on resolve.
-    for (const ObjectRef& ref : lost) {
-      scheduler_->OnObjectReady(ref.id);
-    }
   }
 
   // 5. Fail over in-flight tasks of the dead node.

@@ -176,10 +176,11 @@ class SkadiRuntime {
   FunctionRegistry* registry_;
   RuntimeOptions options_;
 
-  // The control plane's event loop, with one driver: ownership watchers,
-  // GetOp deadline and backoff timers, and the blocking shims' drain loop.
-  // Wired to the fabric.reactor.* metrics. Declared before the ownership
-  // tables that point at it, so it outlives them.
+  // The control plane's event loop, with one driver: GetOp Steps (posted by
+  // their ownership watchers), GetOp deadline and backoff timers, and the
+  // blocking shims' drain loop. Wired to the fabric.reactor.* metrics.
+  // Declared before the ownership tables that point at it, so it outlives
+  // them.
   Reactor control_{"control"};
 
   std::unique_ptr<Scheduler> scheduler_;
@@ -189,6 +190,8 @@ class SkadiRuntime {
   std::unique_ptr<PushBatcher> push_batcher_;
   std::unique_ptr<Autoscaler> autoscaler_;
   std::unordered_map<NodeId, std::unique_ptr<Raylet>> raylets_;
+  // Declared after scheduler_: the tables, and every unfired watcher a
+  // parked task left in them, are destroyed before the scheduler.
   std::unordered_map<NodeId, std::unique_ptr<OwnershipTable>> ownership_;
 
   mutable Mutex ops_mu_;

@@ -25,22 +25,14 @@ std::string_view SchedulingPolicyName(SchedulingPolicy policy) {
 }
 
 Scheduler::Scheduler(CachingLayer* cache, MetricsRegistry* metrics,
-                     SchedulingPolicy policy, DispatchFn dispatch, uint64_t seed,
-                     SchedulerOptions options)
+                     SchedulingPolicy policy, DispatchFn dispatch, WatchFn watch,
+                     uint64_t seed)
     : cache_(cache),
       metrics_(metrics),
       dispatch_(std::move(dispatch)),
+      watch_(std::move(watch)),
       rng_(seed),
       policy_(policy) {
-  const int shards = std::max(1, options.shards);
-  index_shards_.reserve(shards);
-  park_shards_.reserve(shards);
-  task_shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) {
-    index_shards_.push_back(std::make_unique<IndexShard>());
-    park_shards_.push_back(std::make_unique<ParkShard>());
-    task_shards_.push_back(std::make_unique<TaskShard>());
-  }
   // The registry hands out stable references; caching the handles keeps the
   // dispatch hot path off the registry's own lock.
   dispatched_ctr_ = &metrics_->GetCounter(names::kSchedulerDispatched);
@@ -116,22 +108,6 @@ void Scheduler::SetPolicy(SchedulingPolicy policy) {
 SchedulingPolicy Scheduler::policy() const {
   MutexLock lock(nodes_mu_);
   return policy_;
-}
-
-bool Scheduler::IsReady(ObjectId id) const {
-  IndexShard& s = index_shard(id);
-  MutexLock lock(s.mu);
-  auto it = s.ready.find(id);
-  return it != s.ready.end() && it->second;
-}
-
-bool Scheduler::DepsReady(const TaskSpec& spec) const {
-  for (const TaskArg& arg : spec.args) {
-    if (arg.is_ref() && !IsReady(arg.ref().id)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 Result<Scheduler::QueuePtr> Scheduler::PickQueue(const TaskSpec& spec) {
@@ -220,18 +196,6 @@ Result<Scheduler::QueuePtr> Scheduler::PickQueue(const TaskSpec& spec) {
 }
 
 Status Scheduler::Submit(TaskSpec spec) {
-  if (!spec.gang_group.empty()) {
-    {
-      MutexLock lock(gangs_mu_);
-      gangs_[spec.gang_group].push_back(std::move(spec));
-    }
-    gang_members_.fetch_add(1, std::memory_order_relaxed);
-    gang_buffered_ctr_->Increment();
-    TryReleaseGangs();
-    UpdatePendingGauge();
-    return Status::Ok();
-  }
-
   int refs = 0;
   for (const TaskArg& arg : spec.args) {
     if (arg.is_ref()) {
@@ -239,99 +203,60 @@ Status Scheduler::Submit(TaskSpec spec) {
     }
   }
   if (refs == 0) {
-    UpdatePendingGauge();
-    Route(std::move(spec));
+    Admit(std::move(spec));
     return Status::Ok();
   }
 
-  // Two-phase park: publish the countdown cell first (so OnObjectReady can
-  // find it), then register a waiter per ref arg under that arg's index-shard
-  // lock. The +1 guard keeps concurrent ready events from hitting zero while
-  // registration is still in progress; dropping the guard at the end makes
-  // exactly one side (us, if every arg raced to ready; otherwise the last
-  // OnObjectReady) the dispatcher.
+  // Park on the arguments' owner records: one watcher per pending ref arg,
+  // all sharing the countdown. The +1 guard keeps watchers that fire while
+  // registration is still in progress from hitting zero; dropping it at the
+  // end makes exactly one side (us, if no arg is still pending; otherwise
+  // the last watcher to fire) the one that admits the task.
   auto pending = std::make_shared<Pending>();
   pending->spec = std::move(spec);
-  const TaskId id = pending->spec.id;
   pending->unresolved.store(refs + 1, std::memory_order_relaxed);
-  {
-    ParkShard& p = park_shard(id);
-    MutexLock lock(p.mu);
-    p.parked[id] = pending;
-  }
   parked_count_.fetch_add(1, std::memory_order_relaxed);
-
-  int already_ready = 0;
+  int resolved = 0;
   for (const TaskArg& arg : pending->spec.args) {
     if (!arg.is_ref()) {
       continue;
     }
-    const ObjectId oid = arg.ref().id;
-    IndexShard& s = index_shard(oid);
-    MutexLock lock(s.mu);
-    auto it = s.ready.find(oid);
-    if (it != s.ready.end() && it->second) {
-      ++already_ready;
-    } else {
-      s.waiters[oid].push_back(id);
+    // Ready, lost and released (NotFound) all count as resolved.
+    Result<ObjectState> state =
+        watch_(arg.ref(), [this, pending] { Resolve(pending, 1); });
+    if (!state.ok() || *state != ObjectState::kPending) {
+      ++resolved;
     }
   }
-
-  const int drop = already_ready + 1;  // resolved-at-submit args + the guard
-  if (pending->unresolved.fetch_sub(drop, std::memory_order_acq_rel) == drop) {
-    ParkShard& p = park_shard(id);
-    {
-      MutexLock lock(p.mu);
-      p.parked.erase(id);
-    }
-    parked_count_.fetch_sub(1, std::memory_order_relaxed);
-    UpdatePendingGauge();
-    Route(std::move(pending->spec));
-  } else {
+  if (!Resolve(pending, resolved + 1)) {
     parked_ctr_->Increment();
     UpdatePendingGauge();
   }
   return Status::Ok();
 }
 
-void Scheduler::OnObjectReady(ObjectId id) {
-  std::vector<TaskId> waiters;
+bool Scheduler::Resolve(const std::shared_ptr<Pending>& pending, int n) {
+  if (pending->unresolved.fetch_sub(n, std::memory_order_acq_rel) != n) {
+    return false;
+  }
+  parked_count_.fetch_sub(1, std::memory_order_relaxed);
+  Admit(std::move(pending->spec));
+  return true;
+}
+
+void Scheduler::Admit(TaskSpec spec) {
+  if (spec.gang_group.empty()) {
+    UpdatePendingGauge();
+    Route(std::move(spec));
+    return;
+  }
   {
-    IndexShard& s = index_shard(id);
-    MutexLock lock(s.mu);
-    s.ready[id] = true;
-    auto wit = s.waiters.find(id);
-    if (wit != s.waiters.end()) {
-      waiters = std::move(wit->second);
-      s.waiters.erase(wit);
-    }
+    MutexLock lock(gangs_mu_);
+    gangs_[spec.gang_group].push_back(std::move(spec));
   }
-
-  std::vector<TaskSpec> to_route;
-  for (TaskId task : waiters) {
-    std::shared_ptr<Pending> pending;
-    ParkShard& p = park_shard(task);
-    {
-      MutexLock lock(p.mu);
-      auto it = p.parked.find(task);
-      if (it == p.parked.end()) {
-        continue;  // already dispatched (countdown hit zero on another entry)
-      }
-      pending = it->second;
-    }
-    if (pending->unresolved.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      {
-        MutexLock lock(p.mu);
-        p.parked.erase(task);
-      }
-      parked_count_.fetch_sub(1, std::memory_order_relaxed);
-      to_route.push_back(std::move(pending->spec));
-    }
-  }
-
+  gang_members_.fetch_add(1, std::memory_order_relaxed);
+  gang_buffered_ctr_->Increment();
   TryReleaseGangs();
-  UpdatePendingGauge();
-  RouteAll(std::move(to_route));
 }
 
 void Scheduler::TryReleaseGangs() {
@@ -341,17 +266,6 @@ void Scheduler::TryReleaseGangs() {
     for (auto it = gangs_.begin(); it != gangs_.end();) {
       std::vector<TaskSpec>& members = it->second;
       if (members.empty() || static_cast<int>(members.size()) < members[0].gang_size) {
-        ++it;
-        continue;
-      }
-      bool deps_ready = true;
-      for (const TaskSpec& m : members) {
-        if (!DepsReady(m)) {  // gangs_mu_ -> IndexShard::mu
-          deps_ready = false;
-          break;
-        }
-      }
-      if (!deps_ready) {
         ++it;
         continue;
       }
@@ -447,7 +361,7 @@ void Scheduler::Pump(const QueuePtr& q) {
 }
 
 void Scheduler::DispatchOne(TaskSpec spec, const QueuePtr& q) {
-  // Re-dispatches (object-ready wakeups, failover, steals) run far from the
+  // Re-dispatches (watcher wakeups, failover, steals) run far from the
   // submitting stack, so adopt the spec's stamped context rather than
   // whatever this thread happens to be doing.
   trace::ScopedContext adopt(spec.trace_ctx);
@@ -657,16 +571,16 @@ void Scheduler::OnTaskAborted(const TaskSpec& spec, NodeId at) {
 void Scheduler::OnNodeFailure(NodeId node) {
   RemoveNode(node);  // re-routes anything still queued there
   std::vector<TaskSpec> to_redispatch;
-  for (auto& shard : task_shards_) {
-    MutexLock lock(shard->mu);
-    for (auto it = shard->task_node.begin(); it != shard->task_node.end();) {
+  for (TaskShard& shard : task_shards_) {
+    MutexLock lock(shard.mu);
+    for (auto it = shard.task_node.begin(); it != shard.task_node.end();) {
       if (it->second == node) {
-        auto sit = shard->inflight_specs.find(it->first);
-        if (sit != shard->inflight_specs.end()) {
+        auto sit = shard.inflight_specs.find(it->first);
+        if (sit != shard.inflight_specs.end()) {
           to_redispatch.push_back(std::move(sit->second));
-          shard->inflight_specs.erase(sit);
+          shard.inflight_specs.erase(sit);
         }
-        it = shard->task_node.erase(it);
+        it = shard.task_node.erase(it);
       } else {
         ++it;
       }

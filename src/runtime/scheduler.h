@@ -6,26 +6,27 @@
 // dispatch when their inputs are ready) and gang scheduling for SPMD
 // sub-graphs (§2.3).
 //
-// Concurrency (DESIGN.md §13): the single scheduler mutex is gone. State is
-// split so the hot paths touch only small, independent locks:
+// Concurrency (DESIGN.md §13): there is no scheduler-wide mutex, and the
+// scheduler keeps no per-object state. A task's dependency state is its
+// arguments' owner records:
 //
-//  * per-raylet dispatch queues (NodeQueue) — placement routes a dep-ready
+//  * parking — Submit registers one ownership watcher (WatchFn) per pending
+//    ref argument. The watchers share an atomic countdown of unresolved
+//    arguments (+1 submit guard), so Submit and watchers firing concurrently
+//    never lose a wakeup and exactly one side admits the task. A watcher
+//    fires on the thread that flips the argument's state, so the raylet
+//    worker that completes a producer dispatches its dependents.
+//  * per-raylet dispatch queues (NodeQueue) — placement routes an admitted
 //    task to its node's queue under that queue's own lock; a pump drains the
 //    queue to the dispatch function outside every lock, and idle raylets
 //    steal from the longest queue (OnTaskFinished / empty-pump triggers).
-//  * a sharded ready-object reverse index (ready set + waiters) and a
-//    sharded park table, so OnObjectReady storms resolve dependencies
-//    without serializing against placement. Parking uses an atomic
-//    unresolved countdown (+1 submit guard) so Submit and concurrent
-//    OnObjectReady calls never lose a wakeup and exactly one side dispatches.
-//  * nodes/policy/rng under nodes_mu_ (short pick sections only) and gang
-//    buffers under gangs_mu_ (scanned only on gang-relevant events).
-//
-// `shards == 1` (SchedulerOptions) degenerates to one lock per structure —
-// the single-lock baseline bench_control_plane compares against.
+//  * in-flight records in a fixed array of TaskShards, nodes/policy/rng
+//    under nodes_mu_ (short pick sections only), and gang buffers under
+//    gangs_mu_ (scanned only on gang-relevant events).
 #ifndef SRC_RUNTIME_SCHEDULER_H_
 #define SRC_RUNTIME_SCHEDULER_H_
 
+#include <array>
 #include <atomic>
 #include <deque>
 #include <functional>
@@ -39,6 +40,7 @@
 #include "src/common/metrics.h"
 #include "src/common/mutex.h"
 #include "src/common/random.h"
+#include "src/ownership/ownership_table.h"
 #include "src/runtime/task.h"
 
 namespace skadi {
@@ -60,12 +62,6 @@ struct SchedulableNode {
   int workers = 0;
 };
 
-struct SchedulerOptions {
-  // Shard count for the ready-index / park / task-tracking maps. 1 = the
-  // single-lock baseline.
-  int shards = 8;
-};
-
 class Scheduler {
  public:
   // dispatch: actually sends the spec to the chosen node's raylet (the
@@ -74,13 +70,22 @@ class Scheduler {
   // re-queued for another placement.
   using DispatchFn = std::function<Status(const TaskSpec& spec, NodeId target)>;
 
+  // Returns the state of `ref`'s owner record and, only while it is
+  // pending, registers `on_resolved` to run once when it leaves pending.
+  // The runtime wires OwnershipTable::StateOrWatch on the ref's owner, so a
+  // released record reads NotFound and the watcher runs on the thread that
+  // flips the state. The watcher holds a raw pointer to the scheduler: the
+  // records' owner must drop unfired watchers before the scheduler dies.
+  using WatchFn =
+      std::function<Result<ObjectState>(const ObjectRef& ref, Continuation on_resolved)>;
+
   // Invoked (outside every scheduler lock) when a task cannot be placed on
   // any node after retries. The runtime uses this to fail the task terminally
   // so its futures resolve instead of hanging forever.
   using UnschedulableFn = std::function<void(const TaskSpec& spec, const Status& status)>;
 
   Scheduler(CachingLayer* cache, MetricsRegistry* metrics, SchedulingPolicy policy,
-            DispatchFn dispatch, uint64_t seed = 17, SchedulerOptions options = {});
+            DispatchFn dispatch, WatchFn watch, uint64_t seed = 17);
 
   void set_unschedulable_handler(UnschedulableFn handler) {
     unschedulable_ = std::move(handler);
@@ -90,13 +95,13 @@ class Scheduler {
   void SetPolicy(SchedulingPolicy policy);
   SchedulingPolicy policy() const;
 
-  // Submits a task: dispatches immediately if every ref argument is ready,
-  // otherwise parks it until OnObjectReady unblocks it. Gang members park
-  // until the whole gang is present and has slots.
+  // Submits a task: admits it at once if no ref argument is pending,
+  // otherwise parks it until the last pending argument leaves pending. An
+  // argument that is lost or released counts as resolved: the task then
+  // fails or recovers when it resolves its arguments. An admitted task is
+  // routed, or buffered with its gang until the whole gang is present and
+  // has slots.
   Status Submit(TaskSpec spec);
-
-  // Called by the runtime when an object transitions to ready.
-  void OnObjectReady(ObjectId id);
 
   // Called when a task finishes or fails (frees its slot; the freed raylet
   // steals queued work from the longest other queue if it has capacity).
@@ -145,26 +150,14 @@ class Scheduler {
   };
   using QueuePtr = std::shared_ptr<NodeQueue>;
 
-  // --- Sharded dependency state ------------------------------------------
   // A parked task: the spec plus an atomic countdown of unresolved ref args.
   // Initialized to ref-arg-count + 1: Submit holds the +1 guard while it
-  // registers waiters, so a concurrent OnObjectReady can decrement but never
-  // reach zero early; whichever decrement lands the counter on zero owns the
-  // spec and dispatches it exactly once.
+  // registers watchers, so a watcher firing concurrently can decrement but
+  // never reach zero early; whichever decrement lands the counter on zero
+  // owns the spec and admits it exactly once.
   struct Pending {
     TaskSpec spec;
     std::atomic<int> unresolved{0};
-  };
-
-  struct IndexShard {
-    Mutex mu;
-    std::unordered_map<ObjectId, bool> ready GUARDED_BY(mu);
-    std::unordered_map<ObjectId, std::vector<TaskId>> waiters GUARDED_BY(mu);
-  };
-
-  struct ParkShard {
-    Mutex mu;
-    std::unordered_map<TaskId, std::shared_ptr<Pending>> parked GUARDED_BY(mu);
   };
 
   // In-flight bookkeeping for failover (task -> node, task -> spec).
@@ -173,21 +166,18 @@ class Scheduler {
     std::unordered_map<TaskId, NodeId> task_node GUARDED_BY(mu);
     std::unordered_map<TaskId, TaskSpec> inflight_specs GUARDED_BY(mu);
   };
+  static constexpr size_t kTaskShards = 8;
 
-  IndexShard& index_shard(ObjectId id) const {
-    return *index_shards_[std::hash<ObjectId>()(id) % index_shards_.size()];
-  }
-  ParkShard& park_shard(TaskId id) const {
-    return *park_shards_[std::hash<TaskId>()(id) % park_shards_.size()];
-  }
-  TaskShard& task_shard(TaskId id) const {
-    return *task_shards_[std::hash<TaskId>()(id) % task_shards_.size()];
+  TaskShard& task_shard(TaskId id) {
+    return task_shards_[std::hash<TaskId>()(id) % kTaskShards];
   }
 
-  // True iff the object is marked ready (locks the index shard).
-  bool IsReady(ObjectId id) const;
-  // Dep check for gang release; locks each arg's index shard in turn.
-  bool DepsReady(const TaskSpec& spec) const;
+  // Drops `n` from the countdown; the caller that lands it on zero admits
+  // the task. Returns whether it did.
+  bool Resolve(const std::shared_ptr<Pending>& pending, int n);
+  // Routes a task whose arguments are all resolved, or buffers it with its
+  // gang and tries to release the gang.
+  void Admit(TaskSpec spec);
 
   // Picks a queue for the spec per policy. Locks nodes_mu_ only.
   Result<QueuePtr> PickQueue(const TaskSpec& spec) EXCLUDES(nodes_mu_);
@@ -214,8 +204,9 @@ class Scheduler {
   // Safe to call repeatedly.
   void RemoveNode(NodeId node);
 
-  // Releases any gang whose members are all present, dep-ready, and covered
-  // by free worker slots (all-or-nothing); routes the released members.
+  // Releases any gang whose members are all present and covered by free
+  // worker slots (all-or-nothing); routes the released members. Members
+  // are buffered only once admitted, so their arguments are resolved.
   void TryReleaseGangs();
 
   void UpdatePendingGauge();
@@ -223,6 +214,7 @@ class Scheduler {
   CachingLayer* cache_;
   MetricsRegistry* metrics_;
   DispatchFn dispatch_;
+  WatchFn watch_;
   UnschedulableFn unschedulable_;  // set once at wiring time, before traffic
 
   // Candidate set + policy state. Lock order: nodes_mu_ may be taken under
@@ -236,19 +228,17 @@ class Scheduler {
   std::unordered_map<NodeId, QueuePtr> queue_by_node_ GUARDED_BY(nodes_mu_);
   size_t round_robin_next_ GUARDED_BY(nodes_mu_) = 0;
 
-  // Shard arrays are immutable after construction (contents are guarded by
-  // each shard's own mutex). All shard mutexes are terminal.
-  std::vector<std::unique_ptr<IndexShard>> index_shards_;
-  std::vector<std::unique_ptr<ParkShard>> park_shards_;
-  std::vector<std::unique_ptr<TaskShard>> task_shards_;
+  // Each shard's contents are guarded by its own mutex, which is terminal.
+  std::array<TaskShard, kTaskShards> task_shards_;
 
-  // Gang groups: buffered members until gang_size present + slots free.
-  // Lock order: gangs_mu_ -> IndexShard::mu (dep check) and -> nodes_mu_
-  // (slot check); nothing takes gangs_mu_ while holding another lock.
+  // Gang groups: admitted members buffered until gang_size present + slots
+  // free. Lock order: gangs_mu_ -> nodes_mu_ (slot check); nothing takes
+  // gangs_mu_ while holding another lock.
   mutable Mutex gangs_mu_;
   std::map<std::string, std::vector<TaskSpec>> gangs_ GUARDED_BY(gangs_mu_);
 
-  // Cheap pending_tasks() (the gauge updates on every submit).
+  // Cheap pending_tasks() (the gauge updates on every submit): parked tasks
+  // and buffered gang members.
   std::atomic<int64_t> parked_count_{0};
   std::atomic<int64_t> gang_members_{0};
 

@@ -216,16 +216,34 @@ TEST_F(OwnershipTableTest, StateOrWatchFiresOnLossAndRelease) {
             StatusCode::kNotFound);
 }
 
-TEST_F(OwnershipTableTest, WatchersRunOnReactorWhenWired) {
+// Watchers run inline on the thread that flips the state, whichever flip it
+// is; a wired reactor (WaitReady's) does not change that.
+TEST_F(OwnershipTableTest, WatchersRunOnTheThreadThatFlipsTheState) {
   Reactor reactor("test");
   table_.set_reactor(&reactor);
-  ObjectId id = Register();
-  auto ev = std::make_shared<Event>();
-  ASSERT_TRUE(table_.StateOrWatch(id, [ev] { ev->Set(); }).ok());
-  ASSERT_TRUE(table_.MarkReady(id, NodeId::Next(), 1).ok());
-  // The watcher was posted, not run inline on the MarkReady thread.
-  EXPECT_FALSE(ev->is_set());
-  EXPECT_TRUE(reactor.BlockOn(*ev));
+  const ObjectId ready = Register();
+  const ObjectId lost = Register();
+  const ObjectId released = Register();
+  std::thread::id ran_on[3];
+  for (int i = 0; i < 3; ++i) {
+    const ObjectId id = i == 0 ? ready : i == 1 ? lost : released;
+    ASSERT_TRUE(table_.StateOrWatch(id, [&ran_on, i] {
+                        ran_on[i] = std::this_thread::get_id();
+                      }).ok());
+  }
+  std::thread::id flipper;
+  std::thread t([&] {
+    flipper = std::this_thread::get_id();
+    EXPECT_TRUE(table_.MarkReady(ready, NodeId::Next(), 1).ok());
+    EXPECT_TRUE(table_.MarkLost(lost).ok());
+    auto removed = table_.DecRef(released);
+    EXPECT_TRUE(removed.ok() && *removed);
+  });
+  t.join();
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, flipper);
+  }
+  EXPECT_EQ(reactor.ready_count(), 0u);  // nothing was posted
 }
 
 TEST_F(OwnershipTableTest, ObjectsInStateFilters) {
@@ -241,29 +259,34 @@ TEST_F(OwnershipTableTest, ObjectsInStateFilters) {
   EXPECT_EQ(table_.size(), 2u);
 }
 
-// Teardown race: destroy a reactor-wired table while half its watchers are
-// already queued on the reactor and the other half are still registered.
-// Queued continuations own their state via a captured shared_ptr (the
-// DESIGN.md §14 idiom) so they may run after the table dies; never-fired
-// watchers must be dropped without running. ASan flags any continuation
-// that touches freed table state.
+// Teardown race: destroy a table while half its watchers have fired and
+// queued their continuations on a reactor (as GetOp's watcher posts its
+// Step) and the other half are still registered. Queued continuations own
+// their state via a captured shared_ptr (the DESIGN.md §14 idiom) so they
+// may run after the table dies; never-fired watchers must be dropped
+// without running. ASan flags any continuation that touches freed table
+// state.
 TEST_F(OwnershipTableTest, TeardownWithQueuedAndUnfiredWatchers) {
   Reactor reactor("teardown");
   auto fired = std::make_shared<std::atomic<int>>(0);
   {
     OwnershipTable table(NodeId::Next());
-    table.set_reactor(&reactor);
     for (int i = 0; i < 8; ++i) {
       ObjectId id = ObjectId::Next();
       ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
-      ASSERT_TRUE(
-          table.StateOrWatch(id, [fired] { fired->fetch_add(1); }).ok());
+      ASSERT_TRUE(table
+                      .StateOrWatch(id,
+                                    [&reactor, fired] {
+                                      reactor.Post([fired] { fired->fetch_add(1); });
+                                    })
+                      .ok());
       if (i % 2 == 0) {
-        // Queues the watcher continuation on the reactor.
+        // The watcher runs here and queues its continuation on the reactor.
         ASSERT_TRUE(table.MarkReady(id, NodeId::Next(), 1).ok());
       }
     }
-  }  // table destroyed: 4 watchers queued on the reactor, 4 never fired
+    EXPECT_EQ(fired->load(), 0);
+  }  // table destroyed: 4 continuations queued on the reactor, 4 never fired
   const int64_t deadline = NowNanos() + 1'000'000'000;
   while (NowNanos() < deadline && fired->load() < 4) {
     reactor.PollOnce();

@@ -1,5 +1,6 @@
-// Unit tests of the centralized scheduler's placement policies and gang
-// logic, using a fake dispatch function that records targets.
+// Unit tests of the centralized scheduler's placement policies, parking and
+// gang logic, using a fake dispatch function that records targets and a
+// standalone ownership table whose records gate the parked tasks.
 #include "src/runtime/scheduler.h"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,13 @@ class SchedulerTest : public ::testing::Test {
     }
   }
 
+  // Parks tasks on table_'s records (every ref's owner in these tests).
+  Scheduler::WatchFn Watch() {
+    return [this](const ObjectRef& ref, Continuation on_resolved) {
+      return table_.StateOrWatch(ref.id, std::move(on_resolved));
+    };
+  }
+
   std::unique_ptr<Scheduler> MakeScheduler(SchedulingPolicy policy,
                                            DeviceKind kind = DeviceKind::kCpu,
                                            int workers = 2) {
@@ -40,7 +48,8 @@ class SchedulerTest : public ::testing::Test {
         [this](const TaskSpec& spec, NodeId target) {
           dispatched_.emplace_back(spec.id, target);
           return dispatch_result_;
-        });
+        },
+        Watch());
     std::vector<SchedulableNode> nodes;
     for (NodeId n : node_ids_) {
       nodes.push_back(SchedulableNode{n, kind, NodeId(), workers});
@@ -57,10 +66,24 @@ class SchedulerTest : public ::testing::Test {
     return spec;
   }
 
+  // A pending record in table_.
+  ObjectId Register() {
+    ObjectId id = ObjectId::Next();
+    EXPECT_TRUE(table_.RegisterObject(id, nullptr).ok());
+    return id;
+  }
+
+  void MarkReady(ObjectId id, NodeId at = NodeId::Next(), int64_t size = 1) {
+    ASSERT_TRUE(table_.MarkReady(id, at, size).ok());
+  }
+
+  static TaskArg Arg(ObjectId id) { return TaskArg::Ref(ObjectRef{id, NodeId()}); }
+
   std::shared_ptr<Topology> topo_;
   std::unique_ptr<Fabric> fabric_;
   std::unique_ptr<CachingLayer> cache_;
   MetricsRegistry metrics_;
+  OwnershipTable table_{NodeId::Next()};
   std::vector<NodeId> node_ids_;
   std::vector<std::pair<TaskId, NodeId>> dispatched_;
   Status dispatch_result_ = Status::Ok();
@@ -104,15 +127,14 @@ TEST_F(SchedulerTest, LoadRebalancesAfterFinish) {
 TEST_F(SchedulerTest, LocalityFollowsBytes) {
   auto scheduler = MakeScheduler(SchedulingPolicy::kLocalityAware);
   // Put a big object on node 2, small on node 0.
-  ObjectId big = ObjectId::Next();
-  ObjectId small = ObjectId::Next();
+  ObjectId big = Register();
+  ObjectId small = Register();
   ASSERT_TRUE(cache_->Put(big, Buffer::Zeros(1024 * 1024), node_ids_[2]).ok());
   ASSERT_TRUE(cache_->Put(small, Buffer::Zeros(64), node_ids_[0]).ok());
-  scheduler->OnObjectReady(big);
-  scheduler->OnObjectReady(small);
+  MarkReady(big, node_ids_[2], 1024 * 1024);
+  MarkReady(small, node_ids_[0], 64);
 
-  ASSERT_TRUE(scheduler->Submit(MakeTask({TaskArg::Ref({big, NodeId()}),
-                              TaskArg::Ref({small, NodeId()})})).ok());
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(big), Arg(small)})).ok());
   ASSERT_EQ(dispatched_.size(), 1u);
   EXPECT_EQ(dispatched_[0].second, node_ids_[2]);
 }
@@ -136,25 +158,80 @@ TEST_F(SchedulerTest, RequiredDeviceFiltersCandidates) {
 
 TEST_F(SchedulerTest, ParksUntilDependencyReady) {
   auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
-  ObjectId dep = ObjectId::Next();
-  ASSERT_TRUE(scheduler->Submit(MakeTask({TaskArg::Ref({dep, NodeId()})})).ok());
+  ObjectId dep = Register();
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(dep)})).ok());
   EXPECT_TRUE(dispatched_.empty());
   EXPECT_EQ(scheduler->pending_tasks(), 1u);
-  scheduler->OnObjectReady(dep);
+  EXPECT_EQ(metrics_.GetCounter("scheduler.parked").value(), 1);
+  MarkReady(dep);
   EXPECT_EQ(dispatched_.size(), 1u);
   EXPECT_EQ(scheduler->pending_tasks(), 0u);
+  // A task on an already-ready argument is admitted at submit.
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(dep)})).ok());
+  EXPECT_EQ(dispatched_.size(), 2u);
+  EXPECT_EQ(metrics_.GetCounter("scheduler.parked").value(), 1);
 }
 
 TEST_F(SchedulerTest, MultiDepTaskWaitsForAll) {
   auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
-  ObjectId a = ObjectId::Next();
-  ObjectId b = ObjectId::Next();
-  ASSERT_TRUE(scheduler->Submit(
-      MakeTask({TaskArg::Ref({a, NodeId()}), TaskArg::Ref({b, NodeId()})})).ok());
-  scheduler->OnObjectReady(a);
+  ObjectId a = Register();
+  ObjectId b = Register();
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(a), Arg(b)})).ok());
+  MarkReady(a);
   EXPECT_TRUE(dispatched_.empty());
-  scheduler->OnObjectReady(b);
+  MarkReady(b);
   EXPECT_EQ(dispatched_.size(), 1u);
+}
+
+// A released argument (its last reference dropped while the task waits)
+// admits the task, which then fails at argument resolution instead of
+// parking forever.
+TEST_F(SchedulerTest, ReleasedArgumentAdmitsParkedTask) {
+  auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
+  ObjectId dep = Register();
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(dep)})).ok());
+  EXPECT_TRUE(dispatched_.empty());
+  auto removed = table_.DecRef(dep);
+  ASSERT_TRUE(removed.ok());
+  ASSERT_TRUE(*removed);
+  EXPECT_EQ(dispatched_.size(), 1u);
+  EXPECT_EQ(scheduler->pending_tasks(), 0u);
+  // Submitted after the release: admitted at once.
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(dep)})).ok());
+  EXPECT_EQ(dispatched_.size(), 2u);
+}
+
+TEST_F(SchedulerTest, LostArgumentAdmitsParkedTask) {
+  auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
+  ObjectId dep = Register();
+  ObjectId other = Register();
+  ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(dep), Arg(other)})).ok());
+  ASSERT_TRUE(table_.MarkLost(dep).ok());
+  EXPECT_TRUE(dispatched_.empty());  // `other` is still pending
+  ASSERT_TRUE(table_.MarkLost(other).ok());
+  EXPECT_EQ(dispatched_.size(), 1u);
+  EXPECT_EQ(scheduler->pending_tasks(), 0u);
+}
+
+TEST_F(SchedulerTest, GangMemberCountsOnlyOnceItsArgumentsResolve) {
+  auto scheduler = MakeScheduler(SchedulingPolicy::kRoundRobin);
+  ObjectId dep = Register();
+  TaskSpec waiting = MakeTask({Arg(dep)});
+  waiting.gang_group = "g";
+  waiting.gang_size = 2;
+  TaskSpec ready = MakeTask();
+  ready.gang_group = "g";
+  ready.gang_size = 2;
+  ASSERT_TRUE(scheduler->Submit(std::move(waiting)).ok());
+  ASSERT_TRUE(scheduler->Submit(std::move(ready)).ok());
+  // Both submitted, but only one member is admitted: the gang waits.
+  EXPECT_TRUE(dispatched_.empty());
+  EXPECT_EQ(scheduler->pending_tasks(), 2u);
+  EXPECT_EQ(metrics_.GetCounter("scheduler.gang_buffered").value(), 1);
+  MarkReady(dep);
+  EXPECT_EQ(dispatched_.size(), 2u);
+  EXPECT_EQ(scheduler->pending_tasks(), 0u);
+  EXPECT_EQ(metrics_.GetCounter("scheduler.gangs_dispatched").value(), 1);
 }
 
 TEST_F(SchedulerTest, GangHeldUntilComplete) {
@@ -237,7 +314,8 @@ TEST_F(SchedulerTest, DispatchFailureRetriesElsewhere) {
         }
         dispatched_.emplace_back(spec.id, target);
         return Status::Ok();
-      });
+      },
+      Watch());
   std::vector<SchedulableNode> nodes;
   for (NodeId n : node_ids_) {
     nodes.push_back(SchedulableNode{n, DeviceKind::kCpu, NodeId(), 2});
@@ -258,35 +336,6 @@ TEST_F(SchedulerTest, PolicySwitchAtRuntime) {
 TEST_F(SchedulerTest, PolicyNamesResolve) {
   EXPECT_EQ(SchedulingPolicyName(SchedulingPolicy::kLocalityAware), "locality_aware");
   EXPECT_EQ(SchedulingPolicyName(SchedulingPolicy::kRandom), "random");
-}
-
-TEST_F(SchedulerTest, SingleShardBaselineBehavesIdentically) {
-  // SchedulerOptions{1} is the single-lock degenerate config the control
-  // plane bench compares against; placement semantics must not change.
-  auto scheduler = std::make_unique<Scheduler>(
-      cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
-      [this](const TaskSpec& spec, NodeId target) {
-        dispatched_.emplace_back(spec.id, target);
-        return Status::Ok();
-      },
-      /*seed=*/17, SchedulerOptions{1});
-  std::vector<SchedulableNode> nodes;
-  for (NodeId n : node_ids_) {
-    nodes.push_back(SchedulableNode{n, DeviceKind::kCpu, NodeId(), 2});
-  }
-  scheduler->SetNodes(std::move(nodes));
-  ObjectId dep = ObjectId::Next();
-  ASSERT_TRUE(scheduler->Submit(MakeTask({TaskArg::Ref(ObjectRef{dep, NodeId()})})).ok());
-  EXPECT_EQ(scheduler->pending_tasks(), 1u);
-  scheduler->OnObjectReady(dep);
-  EXPECT_EQ(scheduler->pending_tasks(), 0u);
-  for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(scheduler->Submit(MakeTask()).ok());
-  }
-  ASSERT_EQ(dispatched_.size(), 8u);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(dispatched_[i].second, node_ids_[i % 4]);
-  }
 }
 
 TEST_F(SchedulerTest, IdleNodeStealsFromLongestQueue) {
@@ -311,7 +360,8 @@ TEST_F(SchedulerTest, IdleNodeStealsFromLongestQueue) {
           release.BlockingWait();
         }
         return Status::Ok();
-      });
+      },
+      Watch());
   scheduler->SetNodes({SchedulableNode{a, DeviceKind::kCpu, NodeId(), 2},
                        SchedulableNode{b, DeviceKind::kCpu, NodeId(), 2}});
 
@@ -386,7 +436,8 @@ TEST_F(SchedulerTest, NodeDiesMidStealTaskRetriesElsewhere) {
           release.BlockingWait();
         }
         return Status::Ok();
-      });
+      },
+      Watch());
   scheduler->SetNodes({SchedulableNode{a, DeviceKind::kCpu, NodeId(), 2},
                        SchedulableNode{b, DeviceKind::kCpu, NodeId(), 2}});
 
@@ -438,7 +489,8 @@ TEST_F(SchedulerTest, ConcurrentSubmitNoLossNoDoubleDispatch) {
         dispatch_count[spec.id] += 1;
         completable.push_back(spec.id);
         return Status::Ok();
-      });
+      },
+      Watch());
   std::vector<SchedulableNode> nodes;
   for (NodeId n : node_ids_) {
     nodes.push_back(SchedulableNode{n, DeviceKind::kCpu, NodeId(), 2});
@@ -479,6 +531,68 @@ TEST_F(SchedulerTest, ConcurrentSubmitNoLossNoDoubleDispatch) {
   MutexLock lock(mu);
   EXPECT_EQ(dispatch_count.size(),
             static_cast<size_t>(kThreads * kTasksPerThread));
+  for (const auto& [id, count] : dispatch_count) {
+    EXPECT_EQ(count, 1) << "task " << id << " dispatched " << count << " times";
+  }
+}
+
+// TSan-targeted hammer for parking: submitters park tasks on shared objects
+// while other threads mark those objects ready, so watchers fire during
+// registration, after it, and not at all (already ready). Every task must
+// be admitted and dispatched exactly once.
+TEST_F(SchedulerTest, ConcurrentParkAndReadyDispatchesEachTaskOnce) {
+  constexpr int kSubmitters = 4;
+  constexpr int kTasksPerSubmitter = 200;
+  constexpr int kMarkers = 2;
+  constexpr int kObjects = 64;
+  std::vector<ObjectId> objects;
+  for (int i = 0; i < kObjects; ++i) {
+    objects.push_back(Register());
+  }
+  Mutex mu;
+  std::unordered_map<TaskId, int> dispatch_count;
+  auto scheduler = std::make_unique<Scheduler>(
+      cache_.get(), &metrics_, SchedulingPolicy::kRoundRobin,
+      [&](const TaskSpec& spec, NodeId) {
+        MutexLock lock(mu);
+        dispatch_count[spec.id] += 1;
+        return Status::Ok();
+      },
+      Watch());
+  std::vector<SchedulableNode> nodes;
+  for (NodeId n : node_ids_) {
+    nodes.push_back(SchedulableNode{n, DeviceKind::kCpu, NodeId(), 2});
+  }
+  scheduler->SetNodes(std::move(nodes));
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kSubmitters; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kTasksPerSubmitter; ++i) {
+        const int k = t * kTasksPerSubmitter + i;
+        ASSERT_TRUE(scheduler
+                        ->Submit(MakeTask({Arg(objects[k % kObjects]),
+                                           Arg(objects[(k * 7 + 3) % kObjects])}))
+                        .ok());
+      }
+    });
+  }
+  for (int m = 0; m < kMarkers; ++m) {
+    threads.emplace_back([&, m] {
+      for (int i = m; i < kObjects; i += kMarkers) {
+        ASSERT_TRUE(table_.MarkReady(objects[i], node_ids_[0], 1).ok());
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+
+  EXPECT_EQ(scheduler->pending_tasks(), 0u);
+  MutexLock lock(mu);
+  EXPECT_EQ(dispatch_count.size(),
+            static_cast<size_t>(kSubmitters * kTasksPerSubmitter));
   for (const auto& [id, count] : dispatch_count) {
     EXPECT_EQ(count, 1) << "task " << id << " dispatched " << count << " times";
   }

@@ -47,6 +47,12 @@ run_mode() {
   # queue handoffs are exactly what TSan needs to watch.
   echo "==> [$name] bench_control_plane smoke"
   SKADI_BENCH_SMOKE=1 "$dir/bench/bench_control_plane" > /dev/null
+  # Gang release and burst parking (A6) and lineage re-execution (A1) end
+  # to end: parked tasks are released by ownership watchers on the
+  # completing workers. Full size, about a second each; no smoke flag.
+  echo "==> [$name] bench_a6_control_plane + bench_a1_recovery smoke"
+  "$dir/bench/bench_a6_control_plane" > /dev/null
+  "$dir/bench/bench_a1_recovery" > /dev/null
   # The trace-plane integration test (part of ctest above) wrote a Perfetto
   # capture of the cross-node Submit->run->Get flow; require it to be one
   # connected span tree with every stage present.
