@@ -1,6 +1,6 @@
 // Sharded control plane benchmark (DESIGN.md §13): many-client open-loop
-// load against the partitioned ownership table, the per-raylet scheduler
-// queues, and the push batcher.
+// load against the partitioned ownership table, the scheduler, and the push
+// batcher.
 //
 //  * BM_OwnershipOpenLoop/shards:S/threads:T — T client threads drive full
 //    object lifecycles (RegisterObject -> MarkReady -> Resolve -> DecRef)
@@ -20,9 +20,8 @@
 //    cores — and the shards:8 row is the acceptance number; the speedup is
 //    hash-balance-limited, not assumed.
 //  * BM_SchedulerOpenLoop/nodes:N/threads:T — T submitters push no-dep tasks
-//    through Submit -> per-raylet queue -> dispatch while a completer thread
-//    retires them (exercising the work-steal probe). Reports tasks_per_sec,
-//    p50/p99 submit->dispatch latency, and scheduler.steal_count.
+//    through Submit -> pick -> dispatch while a completer thread retires
+//    them. Reports tasks_per_sec and p50/p99 submit->dispatch latency.
 //  * BM_PushBatchingDelta/batch:B — a fan-in dispatch (64 ready ref args,
 //    one consumer) with the batcher off (B=0, per-object messages) vs on
 //    (B=1, coalesced per destination). Reports fabric control_messages and
@@ -168,6 +167,7 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
   const int tasks = SmokeMode() ? 64 : 2000;  // submissions per thread
   std::shared_ptr<Topology> topo = std::make_shared<Topology>();
   std::vector<NodeId> node_ids;
+  std::vector<SchedulableNode> sched_nodes;
   for (int i = 0; i < nodes; ++i) {
     NodeInfo info;
     info.id = NodeId::Next();
@@ -175,6 +175,7 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
     info.rack = i / 4;
     (void)topo->AddNode(info);
     node_ids.push_back(info.id);
+    sched_nodes.push_back(SchedulableNode{info.id, DeviceKind::kCpu, NodeId(), 2});
   }
   Fabric fabric(topo);
   CachingLayer cache(&fabric);
@@ -187,13 +188,12 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
   std::vector<std::vector<int64_t>> latency(static_cast<size_t>(threads));
   for (auto _ : state) {
     // Dispatch is a no-op sink feeding the completer; submit->dispatch
-    // latency rides in the spec's submit timestamp (scheduling_hint abuse
-    // avoided: we time around Submit instead, which includes the queue).
+    // latency is timed around Submit, which picks and dispatches inline.
     Mutex mu;
     std::vector<TaskId> done;
     // The tasks carry no ref arguments, so the watch function never runs.
     Scheduler scheduler(
-        &cache, &metrics, SchedulingPolicy::kLoadAware,
+        &cache, &metrics, SchedulingPolicy::kLoadAware, sched_nodes,
         [&](const TaskSpec& spec, NodeId) {
           MutexLock lock(mu);
           done.push_back(spec.id);
@@ -202,11 +202,6 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
         [](const ObjectRef&, Continuation) -> Result<ObjectState> {
           return ObjectState::kReady;
         });
-    std::vector<SchedulableNode> sched_nodes;
-    for (NodeId n : node_ids) {
-      sched_nodes.push_back(SchedulableNode{n, DeviceKind::kCpu, NodeId(), 2});
-    }
-    scheduler.SetNodes(std::move(sched_nodes));
 
     std::atomic<bool> stop{false};
     std::thread completer([&] {
@@ -249,8 +244,6 @@ void BM_SchedulerOpenLoop(benchmark::State& state) {
   state.SetItemsProcessed(total_tasks);
   state.counters["tasks_per_sec"] =
       benchmark::Counter(static_cast<double>(total_tasks), benchmark::Counter::kIsRate);
-  state.counters["steals"] =
-      static_cast<double>(metrics.GetCounter("scheduler.steal_count").value());
   ReportLatency(state, latency);
 }
 

@@ -43,10 +43,9 @@ inline constexpr char kSchedulerDispatchRetries[] = "scheduler.dispatch_retries"
 inline constexpr char kSchedulerAbortRedispatches[] = "scheduler.abort_redispatches";
 inline constexpr char kSchedulerFailoverRedispatches[] = "scheduler.failover_redispatches";
 inline constexpr char kSchedulerPendingDepth[] = "scheduler.pending_depth";
+// The scheduler does not steal work, so nothing increments it; the
+// end-to-end benchmark reports it (as 0) and compiles against it.
 inline constexpr char kSchedulerStealCount[] = "scheduler.steal_count";
-// Prefix family: per-raylet dispatch-queue depth gauge, full name is
-// prefix + NodeId::ToString(), e.g. "scheduler.queue_depth.node-3".
-inline constexpr char kSchedulerQueueDepthPrefix[] = "scheduler.queue_depth.";
 
 // --- raylet (worker pool + task execution) ---
 inline constexpr char kRayletTaskNanos[] = "raylet.task_nanos";

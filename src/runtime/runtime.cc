@@ -57,6 +57,12 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   void Start() {
     auto self = shared_from_this();
     rt_->RegisterOp(self);
+    // The first probe runs before the deadline timer exists, so a 0-delay
+    // timer cannot fail a ref that is already ready.
+    Step();
+    if (finished_.load(std::memory_order_acquire)) {
+      return;
+    }
     TimerId t = reactor().ScheduleAfter(
         std::max<int64_t>(deadline_nanos_ - NowNanos(), 0),
         [self] { self->OnDeadline(); });
@@ -69,7 +75,6 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
     // A stopped reactor (runtime tear-down race) returns t == 0: no deadline
     // timer, but Step's inline deadline check plus the caller's bounded
     // BlockOn still guarantee termination.
-    Step();
   }
 
   void Step() {
@@ -81,7 +86,15 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
         return;
       }
       if (NowNanos() >= deadline_nanos_) {
-        OnDeadline();
+        // Out of budget: a ready ref still resolves, and nothing else waits
+        // (no watcher is armed).
+        Result<OwnershipTable::ResolveReply> probe =
+            rt_->ownership(ref_.owner).Resolve(ref_.id);
+        if (probe.ok() && probe->state == ObjectState::kReady) {
+          Fetch();
+        } else {
+          OnDeadline();
+        }
         return;
       }
       auto self = shared_from_this();
@@ -246,13 +259,12 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
 
   // Parked tasks wait on their arguments' owner records.
   scheduler_ = std::make_unique<Scheduler>(
-      &cluster_->cache(), &metrics(), options_.policy,
+      &cluster_->cache(), &metrics(), options_.policy, schedulable,
       [this](const TaskSpec& spec, NodeId target) { return DispatchToNode(spec, target); },
       [this](const ObjectRef& ref, Continuation on_resolved) {
         return ownership(ref.owner).StateOrWatch(ref.id, std::move(on_resolved));
       },
       options_.seed);
-  scheduler_->SetNodes(std::move(schedulable));
 
   if (options_.futures == FutureProtocol::kPush) {
     // Every push goes through the batcher. Batching on: one coalesced control

@@ -25,14 +25,18 @@ std::string_view SchedulingPolicyName(SchedulingPolicy policy) {
 }
 
 Scheduler::Scheduler(CachingLayer* cache, MetricsRegistry* metrics,
-                     SchedulingPolicy policy, DispatchFn dispatch, WatchFn watch,
-                     uint64_t seed)
+                     SchedulingPolicy policy, const std::vector<SchedulableNode>& nodes,
+                     DispatchFn dispatch, WatchFn watch, uint64_t seed)
     : cache_(cache),
       metrics_(metrics),
+      policy_(policy),
       dispatch_(std::move(dispatch)),
       watch_(std::move(watch)),
-      rng_(seed),
-      policy_(policy) {
+      rng_(seed) {
+  for (const SchedulableNode& n : nodes) {
+    nodes_.push_back(std::make_unique<Node>(n));
+    live_.push_back(nodes_.back().get());
+  }
   // The registry hands out stable references; caching the handles keeps the
   // dispatch hot path off the registry's own lock.
   dispatched_ctr_ = &metrics_->GetCounter(names::kSchedulerDispatched);
@@ -43,79 +47,25 @@ Scheduler::Scheduler(CachingLayer* cache, MetricsRegistry* metrics,
   retries_ctr_ = &metrics_->GetCounter(names::kSchedulerDispatchRetries);
   abort_redispatch_ctr_ = &metrics_->GetCounter(names::kSchedulerAbortRedispatches);
   failover_ctr_ = &metrics_->GetCounter(names::kSchedulerFailoverRedispatches);
-  steal_ctr_ = &metrics_->GetCounter(names::kSchedulerStealCount);
   pending_gauge_ = &metrics_->GetGauge(names::kSchedulerPendingDepth);
 }
 
-void Scheduler::SetNodes(std::vector<SchedulableNode> nodes) {
-  std::vector<TaskSpec> orphans;
-  {
-    MutexLock lock(nodes_mu_);
-    std::vector<QueuePtr> new_queues;
-    std::unordered_map<NodeId, QueuePtr> new_by_node;
-    new_queues.reserve(nodes.size());
-    for (SchedulableNode& n : nodes) {
-      QueuePtr q;
-      auto it = queue_by_node_.find(n.id);
-      if (it != queue_by_node_.end() && it->second->info.workers == n.workers &&
-          it->second->info.device_kind == n.device_kind) {
-        q = it->second;  // keep the live queue (and its inflight accounting)
-      } else {
-        q = std::make_shared<NodeQueue>(n);
-        q->depth_gauge = &metrics_->GetGauge(
-            std::string(names::kSchedulerQueueDepthPrefix) + n.id.ToString());
-        if (it != queue_by_node_.end()) {
-          // Same node, new shape: carry load over and drain the old queue.
-          QueuePtr old = it->second;
-          q->inflight.store(old->inflight.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-          MutexLock qlock(old->mu);
-          old->removed = true;
-          while (!old->tasks.empty()) {
-            orphans.push_back(std::move(old->tasks.front()));
-            old->tasks.pop_front();
-          }
-          old->depth.store(0, std::memory_order_relaxed);
-        }
-      }
-      new_by_node[n.id] = q;
-      new_queues.push_back(std::move(q));
+Scheduler::Node* Scheduler::FindNode(NodeId id) const {
+  for (const std::unique_ptr<Node>& n : nodes_) {
+    if (n->info.id == id) {
+      return n.get();
     }
-    // Nodes dropped from the set: strand nothing, re-route their queues.
-    for (auto& [id, old] : queue_by_node_) {
-      if (new_by_node.count(id) != 0) {
-        continue;
-      }
-      MutexLock qlock(old->mu);
-      old->removed = true;
-      while (!old->tasks.empty()) {
-        orphans.push_back(std::move(old->tasks.front()));
-        old->tasks.pop_front();
-      }
-      old->depth.store(0, std::memory_order_relaxed);
-    }
-    queues_ = std::move(new_queues);
-    queue_by_node_ = std::move(new_by_node);
   }
-  RouteAll(std::move(orphans));
+  return nullptr;
 }
 
-void Scheduler::SetPolicy(SchedulingPolicy policy) {
-  MutexLock lock(nodes_mu_);
-  policy_ = policy;
-}
-
-SchedulingPolicy Scheduler::policy() const {
-  MutexLock lock(nodes_mu_);
-  return policy_;
-}
-
-Result<Scheduler::QueuePtr> Scheduler::PickQueue(const TaskSpec& spec) {
+Result<Scheduler::Node*> Scheduler::PickNode(const TaskSpec& spec) {
   MutexLock lock(nodes_mu_);
   if (spec.pinned_node.has_value()) {
-    auto it = queue_by_node_.find(*spec.pinned_node);
-    if (it != queue_by_node_.end()) {
-      return it->second;
+    for (Node* n : live_) {
+      if (n->info.id == *spec.pinned_node) {
+        return n;
+      }
     }
     // Actor tasks are meaningless off their home node; plain tasks whose pin
     // target died (failover re-dispatch) fall back to policy placement.
@@ -125,39 +75,34 @@ Result<Scheduler::QueuePtr> Scheduler::PickQueue(const TaskSpec& spec) {
     }
   }
 
-  std::vector<const QueuePtr*> candidates;
-  candidates.reserve(queues_.size());
-  for (const QueuePtr& q : queues_) {
-    if (spec.required_device.has_value() &&
-        q->info.device_kind != *spec.required_device) {
+  std::vector<Node*> candidates;
+  candidates.reserve(live_.size());
+  for (Node* n : live_) {
+    if (spec.required_device.has_value() && n->info.device_kind != *spec.required_device) {
       continue;
     }
-    candidates.push_back(&q);
+    candidates.push_back(n);
   }
   if (candidates.empty()) {
     return Status::Unavailable("no schedulable node matches task " + spec.id.ToString());
   }
 
   switch (policy_) {
-    case SchedulingPolicy::kRoundRobin: {
-      const QueuePtr* q = candidates[round_robin_next_ % candidates.size()];
-      ++round_robin_next_;
-      return *q;
-    }
+    case SchedulingPolicy::kRoundRobin:
+      return candidates[round_robin_next_++ % candidates.size()];
     case SchedulingPolicy::kRandom:
-      return *candidates[rng_.NextBounded(candidates.size())];
+      return candidates[rng_.NextBounded(candidates.size())];
     case SchedulingPolicy::kLoadAware: {
-      const QueuePtr* best = candidates[0];
+      Node* best = candidates[0];
       int64_t best_load = std::numeric_limits<int64_t>::max();
-      for (const QueuePtr* q : candidates) {
-        int64_t load = (*q)->inflight.load(std::memory_order_relaxed) +
-                       (*q)->depth.load(std::memory_order_relaxed);
+      for (Node* n : candidates) {
+        int64_t load = n->inflight.load(std::memory_order_relaxed);
         if (load < best_load) {
           best_load = load;
-          best = q;
+          best = n;
         }
       }
-      return *best;
+      return best;
     }
     case SchedulingPolicy::kLocalityAware: {
       // Data-centric: place where the most input bytes already live; break
@@ -175,21 +120,20 @@ Result<Scheduler::QueuePtr> Scheduler::PickQueue(const TaskSpec& spec) {
           local_bytes[loc] += *size;
         }
       }
-      const QueuePtr* best = nullptr;
+      Node* best = nullptr;
       int64_t best_bytes = -1;
       int64_t best_load = std::numeric_limits<int64_t>::max();
-      for (const QueuePtr* q : candidates) {
-        auto bit = local_bytes.find((*q)->info.id);
+      for (Node* n : candidates) {
+        auto bit = local_bytes.find(n->info.id);
         int64_t bytes = bit == local_bytes.end() ? 0 : bit->second;
-        int64_t load = (*q)->inflight.load(std::memory_order_relaxed) +
-                       (*q)->depth.load(std::memory_order_relaxed);
+        int64_t load = n->inflight.load(std::memory_order_relaxed);
         if (bytes > best_bytes || (bytes == best_bytes && load < best_load)) {
           best_bytes = bytes;
           best_load = load;
-          best = q;
+          best = n;
         }
       }
-      return *best;
+      return best;
     }
   }
   return Status::Internal("unreachable policy");
@@ -272,9 +216,9 @@ void Scheduler::TryReleaseGangs() {
       int64_t free_slots = 0;
       {
         MutexLock nlock(nodes_mu_);  // gangs_mu_ -> nodes_mu_
-        for (const QueuePtr& q : queues_) {
+        for (const Node* n : live_) {
           free_slots += std::max<int64_t>(
-              0, q->info.workers - q->inflight.load(std::memory_order_relaxed));
+              0, n->info.workers - n->inflight.load(std::memory_order_relaxed));
         }
       }
       if (free_slots < static_cast<int64_t>(members.size())) {
@@ -295,35 +239,20 @@ void Scheduler::TryReleaseGangs() {
 }
 
 void Scheduler::Route(TaskSpec spec) {
-  for (;;) {
-    Result<QueuePtr> picked = PickQueue(spec);
-    if (!picked.ok()) {
-      SKADI_LOG(kWarn) << "task " << spec.id << " unschedulable: "
-                       << picked.status().ToString();
-      unschedulable_ctr_->Increment();
-      if (unschedulable_) {
-        // Terminal placement failure: surface it so the task's futures
-        // resolve (the runtime marks the returns lost) instead of pending
-        // forever.
-        unschedulable_(spec, picked.status());
-      }
-      return;
+  Result<Node*> picked = PickNode(spec);
+  if (!picked.ok()) {
+    SKADI_LOG(kWarn) << "task " << spec.id << " unschedulable: "
+                     << picked.status().ToString();
+    unschedulable_ctr_->Increment();
+    if (unschedulable_) {
+      // Terminal placement failure: surface it so the task's futures
+      // resolve (the runtime marks the returns lost) instead of pending
+      // forever.
+      unschedulable_(spec, picked.status());
     }
-    QueuePtr q = *picked;
-    {
-      MutexLock lock(q->mu);
-      if (q->removed) {
-        continue;  // lost the race against node removal; re-pick
-      }
-      q->tasks.push_back(std::move(spec));
-      const int64_t d = q->depth.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (q->depth_gauge != nullptr) {
-        q->depth_gauge->Set(d);
-      }
-    }
-    Pump(q);
     return;
   }
+  Dispatch(std::move(spec), *picked);
 }
 
 void Scheduler::RouteAll(std::vector<TaskSpec> specs) {
@@ -332,232 +261,79 @@ void Scheduler::RouteAll(std::vector<TaskSpec> specs) {
   }
 }
 
-void Scheduler::Pump(const QueuePtr& q) {
-  {
-    MutexLock lock(q->mu);
-    if (q->pumping) {
-      return;  // the active pumper will drain the task we just queued
-    }
-    q->pumping = true;
-  }
-  for (;;) {
-    TaskSpec spec;
-    {
-      MutexLock lock(q->mu);
-      if (q->tasks.empty() || q->removed) {
-        q->pumping = false;
-        break;
-      }
-      spec = std::move(q->tasks.front());
-      q->tasks.pop_front();
-      const int64_t d = q->depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-      if (q->depth_gauge != nullptr) {
-        q->depth_gauge->Set(d);
-      }
-    }
-    DispatchOne(std::move(spec), q);
-  }
-  TrySteal(q);
-}
-
-void Scheduler::DispatchOne(TaskSpec spec, const QueuePtr& q) {
-  // Re-dispatches (watcher wakeups, failover, steals) run far from the
-  // submitting stack, so adopt the spec's stamped context rather than
-  // whatever this thread happens to be doing.
+void Scheduler::Dispatch(TaskSpec spec, Node* node) {
+  // Re-dispatches (watcher wakeups, failover) run far from the submitting
+  // stack, so adopt the spec's stamped context rather than whatever this
+  // thread happens to be doing.
   trace::ScopedContext adopt(spec.trace_ctx);
   trace::TraceSpan dispatch_span(names::kSpanSchedulerDispatch);
 
-  const NodeId target = q->info.id;
+  const NodeId target = node->info.id;
+  node->inflight.fetch_add(1, std::memory_order_relaxed);
   {
     TaskShard& t = task_shard(spec.id);
     MutexLock lock(t.mu);
-    t.task_node[spec.id] = target;
-    t.inflight_specs[spec.id] = spec;
+    t.inflight.insert_or_assign(spec.id, Inflight{target, spec});
   }
-  q->inflight.fetch_add(1, std::memory_order_relaxed);
 
   Status st = dispatch_(spec, target);
   if (st.ok()) {
     dispatched_ctr_->Increment();
     return;
   }
-  // Dispatch failed (node died between pick and send): undo the in-flight
-  // record, drop the dead node, and re-route. Each failure removes a node,
-  // so the retry chain terminates in at most |nodes| hops before Route's
-  // pick fails and the task is reported unschedulable.
+  // Dispatch failed (node died between pick and send): drop the dead node
+  // and place the task again. Each failure removes a node, so the retry
+  // chain ends within |nodes| hops, when the pick fails and the task is
+  // reported unschedulable. KillNode marks the raylet dead before
+  // OnNodeFailure sweeps its records, so the sweep may already have failed
+  // this attempt over; only the holder of the record re-routes, or the task
+  // would run twice.
   SKADI_LOG(kWarn) << "dispatch of task " << spec.id << " to " << target
                    << " failed, retrying elsewhere: " << st.ToString();
-  {
-    TaskShard& t = task_shard(spec.id);
-    MutexLock lock(t.mu);
-    t.task_node.erase(spec.id);
-    t.inflight_specs.erase(spec.id);
-  }
-  q->inflight.fetch_sub(1, std::memory_order_relaxed);
   retries_ctr_->Increment();
   RemoveNode(target);
-  Route(std::move(spec));
-}
-
-bool Scheduler::Compatible(const TaskSpec& spec, const NodeQueue& q) {
-  if (spec.pinned_node.has_value() && *spec.pinned_node != q.info.id) {
-    return false;  // pinned work never migrates by stealing
-  }
-  if (spec.required_device.has_value() &&
-      q.info.device_kind != *spec.required_device) {
-    return false;
-  }
-  return true;
-}
-
-void Scheduler::TrySteal(const QueuePtr& q) {
-  for (;;) {
-    const int64_t capacity =
-        q->info.workers - q->inflight.load(std::memory_order_relaxed);
-    if (capacity <= 0 || q->depth.load(std::memory_order_relaxed) > 0) {
-      return;  // busy or has local work; no reason to steal
-    }
-    {
-      MutexLock lock(q->mu);
-      if (q->removed) {
-        return;
-      }
-    }
-    // Pick the longest other queue as the victim (atomic depth, no locks).
-    QueuePtr victim;
-    int64_t victim_depth = 0;
-    {
-      MutexLock lock(nodes_mu_);
-      for (const QueuePtr& other : queues_) {
-        if (other == q) {
-          continue;
-        }
-        const int64_t d = other->depth.load(std::memory_order_relaxed);
-        if (d > victim_depth) {
-          victim_depth = d;
-          victim = other;
-        }
-      }
-    }
-    if (!victim) {
-      return;
-    }
-    // Steal the newest compatible task from the victim's tail (oldest stays
-    // with the victim: it is next to dispatch there and likeliest to have
-    // locality).
-    TaskSpec spec;
-    bool got = false;
-    {
-      MutexLock lock(victim->mu);
-      for (auto it = victim->tasks.rbegin(); it != victim->tasks.rend(); ++it) {
-        if (!Compatible(*it, *q)) {
-          continue;
-        }
-        spec = std::move(*it);
-        victim->tasks.erase(std::next(it).base());
-        const int64_t d = victim->depth.fetch_sub(1, std::memory_order_relaxed) - 1;
-        if (victim->depth_gauge != nullptr) {
-          victim->depth_gauge->Set(d);
-        }
-        got = true;
-        break;
-      }
-    }
-    if (!got) {
-      return;  // nothing stealable right now
-    }
-    steal_ctr_->Increment();
-    DispatchOne(std::move(spec), q);
+  if (TakeInflight(spec.id, target)) {
+    Route(std::move(spec));
   }
 }
 
-void Scheduler::RemoveNode(NodeId node) {
-  QueuePtr q;
-  {
-    MutexLock lock(nodes_mu_);
-    auto it = queue_by_node_.find(node);
-    if (it == queue_by_node_.end()) {
-      return;  // already removed
-    }
-    q = it->second;
-    queue_by_node_.erase(it);
-    queues_.erase(std::remove(queues_.begin(), queues_.end(), q), queues_.end());
-  }
-  std::vector<TaskSpec> orphans;
-  {
-    MutexLock lock(q->mu);
-    q->removed = true;
-    while (!q->tasks.empty()) {
-      orphans.push_back(std::move(q->tasks.front()));
-      q->tasks.pop_front();
-    }
-    q->depth.store(0, std::memory_order_relaxed);
-    if (q->depth_gauge != nullptr) {
-      q->depth_gauge->Set(0);
-    }
-  }
-  RouteAll(std::move(orphans));
-}
-
-void Scheduler::OnTaskFinished(TaskId task) {
-  NodeId node;
-  bool found = false;
+std::optional<TaskSpec> Scheduler::TakeInflight(TaskId task, NodeId at) {
+  Inflight taken;
   {
     TaskShard& t = task_shard(task);
     MutexLock lock(t.mu);
-    auto it = t.task_node.find(task);
-    if (it != t.task_node.end()) {
-      node = it->second;
-      found = true;
-      t.task_node.erase(it);
+    auto it = t.inflight.find(task);
+    if (it == t.inflight.end() || (at.valid() && it->second.node != at)) {
+      return std::nullopt;
     }
-    t.inflight_specs.erase(task);
+    taken = std::move(it->second);
+    t.inflight.erase(it);
   }
-  QueuePtr q;
-  if (found) {
-    MutexLock lock(nodes_mu_);
-    auto it = queue_by_node_.find(node);
-    if (it != queue_by_node_.end()) {
-      q = it->second;
-    }
+  if (Node* n = FindNode(taken.node)) {
+    n->inflight.fetch_sub(1, std::memory_order_relaxed);
   }
-  if (q) {
-    q->inflight.fetch_sub(1, std::memory_order_relaxed);
-  }
-  TryReleaseGangs();  // freed slots may release a gang
-  if (q) {
-    // The freed raylet pulls queued work from the longest other queue.
-    Pump(q);
-  }
+  return std::move(taken.spec);
+}
+
+void Scheduler::RemoveNode(NodeId node) {
+  MutexLock lock(nodes_mu_);
+  live_.erase(std::remove_if(live_.begin(), live_.end(),
+                             [node](const Node* n) { return n->info.id == node; }),
+              live_.end());
+}
+
+void Scheduler::OnTaskFinished(TaskId task) {
+  TakeInflight(task);  // a failed-over attempt's record is already gone
+  TryReleaseGangs();   // the freed slot may release a gang
 }
 
 void Scheduler::OnTaskAborted(const TaskSpec& spec, NodeId at) {
-  TaskSpec to_redispatch;
-  {
-    TaskShard& t = task_shard(spec.id);
-    MutexLock lock(t.mu);
-    auto it = t.task_node.find(spec.id);
-    if (it == t.task_node.end() || it->second != at) {
-      // Stale abort: OnNodeFailure (or an earlier abort) already failed the
-      // task over and the record is gone or tracks the new target. The live
-      // attempt owns the slot accounting; nothing to do here.
-      return;
-    }
-    t.task_node.erase(it);
-    auto sit = t.inflight_specs.find(spec.id);
-    if (sit != t.inflight_specs.end()) {
-      to_redispatch = std::move(sit->second);
-      t.inflight_specs.erase(sit);
-    } else {
-      to_redispatch = spec;
-    }
-  }
-  {
-    MutexLock lock(nodes_mu_);
-    auto it = queue_by_node_.find(at);
-    if (it != queue_by_node_.end()) {
-      it->second->inflight.fetch_sub(1, std::memory_order_relaxed);
-    }
+  // Stale abort: OnNodeFailure (or an earlier abort) already failed the task
+  // over and the record is gone or tracks the new target. The live attempt
+  // owns the slot accounting; nothing to do here.
+  std::optional<TaskSpec> to_redispatch = TakeInflight(spec.id, at);
+  if (!to_redispatch) {
+    return;
   }
   // The aborting node is dead by definition (aborts only fire after Kill);
   // drop it from the candidate set so the re-dispatch does not waste an
@@ -565,28 +341,28 @@ void Scheduler::OnTaskAborted(const TaskSpec& spec, NodeId at) {
   RemoveNode(at);
   abort_redispatch_ctr_->Increment();
   TryReleaseGangs();  // the freed slot may release a gang
-  Route(std::move(to_redispatch));
+  Route(std::move(*to_redispatch));
 }
 
 void Scheduler::OnNodeFailure(NodeId node) {
-  RemoveNode(node);  // re-routes anything still queued there
+  RemoveNode(node);
   std::vector<TaskSpec> to_redispatch;
   for (TaskShard& shard : task_shards_) {
     MutexLock lock(shard.mu);
-    for (auto it = shard.task_node.begin(); it != shard.task_node.end();) {
-      if (it->second == node) {
-        auto sit = shard.inflight_specs.find(it->first);
-        if (sit != shard.inflight_specs.end()) {
-          to_redispatch.push_back(std::move(sit->second));
-          shard.inflight_specs.erase(sit);
-        }
-        it = shard.task_node.erase(it);
+    for (auto it = shard.inflight.begin(); it != shard.inflight.end();) {
+      if (it->second.node == node) {
+        to_redispatch.push_back(std::move(it->second.spec));
+        it = shard.inflight.erase(it);
       } else {
         ++it;
       }
     }
   }
-  failover_ctr_->Add(static_cast<int64_t>(to_redispatch.size()));
+  const auto moved = static_cast<int64_t>(to_redispatch.size());
+  if (Node* n = FindNode(node)) {
+    n->inflight.fetch_sub(moved, std::memory_order_relaxed);
+  }
+  failover_ctr_->Add(moved);
   RouteAll(std::move(to_redispatch));
 }
 
@@ -597,19 +373,8 @@ size_t Scheduler::pending_tasks() const {
 }
 
 int64_t Scheduler::inflight_on(NodeId node) const {
-  MutexLock lock(nodes_mu_);
-  auto it = queue_by_node_.find(node);
-  return it == queue_by_node_.end()
-             ? 0
-             : it->second->inflight.load(std::memory_order_relaxed);
-}
-
-int64_t Scheduler::queued_on(NodeId node) const {
-  MutexLock lock(nodes_mu_);
-  auto it = queue_by_node_.find(node);
-  return it == queue_by_node_.end()
-             ? 0
-             : it->second->depth.load(std::memory_order_relaxed);
+  const Node* n = FindNode(node);
+  return n == nullptr ? 0 : n->inflight.load(std::memory_order_relaxed);
 }
 
 void Scheduler::UpdatePendingGauge() {

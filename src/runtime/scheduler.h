@@ -16,22 +16,22 @@
 //    never lose a wakeup and exactly one side admits the task. A watcher
 //    fires on the thread that flips the argument's state, so the raylet
 //    worker that completes a producer dispatches its dependents.
-//  * per-raylet dispatch queues (NodeQueue) — placement routes an admitted
-//    task to its node's queue under that queue's own lock; a pump drains the
-//    queue to the dispatch function outside every lock, and idle raylets
-//    steal from the longest queue (OnTaskFinished / empty-pump triggers).
-//  * in-flight records in a fixed array of TaskShards, nodes/policy/rng
-//    under nodes_mu_ (short pick sections only), and gang buffers under
-//    gangs_mu_ (scanned only on gang-relevant events).
+//  * dispatch on admit — the admitting thread picks a node and calls the
+//    dispatch function itself, outside every lock. Dispatch only posts the
+//    task to the raylet's reactor queue, so that queue is where tasks wait
+//    (and the depth the autoscaler reads); the scheduler stages nothing.
+//  * in-flight records in a fixed array of TaskShards, the live node set and
+//    policy state under nodes_mu_ (short pick sections only), and gang
+//    buffers under gangs_mu_ (scanned only on gang-relevant events).
 #ifndef SRC_RUNTIME_SCHEDULER_H_
 #define SRC_RUNTIME_SCHEDULER_H_
 
 #include <array>
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -66,8 +66,8 @@ class Scheduler {
  public:
   // dispatch: actually sends the spec to the chosen node's raylet (the
   // runtime wires this through the fabric so dispatch is a costed control
-  // message). Returns non-OK if the node is dead, in which case the task is
-  // re-queued for another placement.
+  // message). Returns non-OK if the node is dead, in which case the node
+  // leaves the candidate set and the task is placed again.
   using DispatchFn = std::function<Status(const TaskSpec& spec, NodeId target)>;
 
   // Returns the state of `ref`'s owner record and, only while it is
@@ -84,27 +84,26 @@ class Scheduler {
   // so its futures resolve instead of hanging forever.
   using UnschedulableFn = std::function<void(const TaskSpec& spec, const Status& status)>;
 
+  // `nodes` is the candidate set for the scheduler's whole life; a node
+  // leaves it when it dies and never comes back.
   Scheduler(CachingLayer* cache, MetricsRegistry* metrics, SchedulingPolicy policy,
-            DispatchFn dispatch, WatchFn watch, uint64_t seed = 17);
+            const std::vector<SchedulableNode>& nodes, DispatchFn dispatch, WatchFn watch,
+            uint64_t seed = 17);
 
   void set_unschedulable_handler(UnschedulableFn handler) {
     unschedulable_ = std::move(handler);
   }
 
-  void SetNodes(std::vector<SchedulableNode> nodes);
-  void SetPolicy(SchedulingPolicy policy);
-  SchedulingPolicy policy() const;
-
   // Submits a task: admits it at once if no ref argument is pending,
   // otherwise parks it until the last pending argument leaves pending. An
   // argument that is lost or released counts as resolved: the task then
   // fails or recovers when it resolves its arguments. An admitted task is
-  // routed, or buffered with its gang until the whole gang is present and
-  // has slots.
+  // dispatched on the admitting thread, or buffered with its gang until the
+  // whole gang is present and has slots.
   Status Submit(TaskSpec spec);
 
-  // Called when a task finishes or fails (frees its slot; the freed raylet
-  // steals queued work from the longest other queue if it has capacity).
+  // Called when a task finishes or fails (frees its slot, which may release
+  // a gang).
   void OnTaskFinished(TaskId task);
 
   // Called when an attempt of `spec` aborted on `at` because the node died.
@@ -116,39 +115,22 @@ class Scheduler {
   // would never run anywhere — its futures would hang until the Get deadline.
   void OnTaskAborted(const TaskSpec& spec, NodeId at);
 
-  // A node died: its in-flight tasks are re-dispatched elsewhere, its queued
-  // tasks re-routed, and it leaves the candidate set.
+  // A node died: it leaves the candidate set and its in-flight tasks are
+  // re-dispatched elsewhere.
   void OnNodeFailure(NodeId node);
 
   size_t pending_tasks() const;
   int64_t inflight_on(NodeId node) const;
-  // Tasks currently staged in `node`'s dispatch queue (not yet dispatched).
-  int64_t queued_on(NodeId node) const;
 
  private:
-  // --- Per-raylet dispatch queue -----------------------------------------
-  // Placement routes a ready task here under the queue's own lock; whichever
-  // thread finds the queue un-pumped drains it (dispatching outside every
-  // lock), so concurrent submitters to the same node batch behind the active
-  // pumper instead of serializing on one global mutex.
-  struct NodeQueue {
-    explicit NodeQueue(SchedulableNode n) : info(n) {}
+  struct Node {
+    explicit Node(const SchedulableNode& n) : info(n) {}
 
-    const SchedulableNode info;  // immutable after construction
-    Mutex mu;
-    std::deque<TaskSpec> tasks GUARDED_BY(mu);
-    bool pumping GUARDED_BY(mu) = false;
-    // Tasks dispatched to this raylet and not yet finished. Atomic so the
-    // load-aware pick and gang slot check read it without the queue lock.
+    const SchedulableNode info;
+    // In-flight records naming this node. Atomic so the load-aware pick and
+    // the gang slot check read it without the record's shard lock.
     std::atomic<int64_t> inflight{0};
-    // Mirror of tasks.size(), readable without mu (steal victim selection).
-    std::atomic<int64_t> depth{0};
-    // Flipped (under mu) when the node leaves the candidate set; enqueues
-    // that lose the race against removal re-route instead of stranding.
-    bool removed GUARDED_BY(mu) = false;
-    Gauge* depth_gauge = nullptr;  // scheduler.queue_depth.<node>, set at wiring
   };
-  using QueuePtr = std::shared_ptr<NodeQueue>;
 
   // A parked task: the spec plus an atomic countdown of unresolved ref args.
   // Initialized to ref-arg-count + 1: Submit holds the +1 guard while it
@@ -160,11 +142,15 @@ class Scheduler {
     std::atomic<int> unresolved{0};
   };
 
-  // In-flight bookkeeping for failover (task -> node, task -> spec).
+  // A dispatched, unfinished attempt: where it runs and the spec failover
+  // re-dispatches.
+  struct Inflight {
+    NodeId node;
+    TaskSpec spec;
+  };
   struct TaskShard {
     Mutex mu;
-    std::unordered_map<TaskId, NodeId> task_node GUARDED_BY(mu);
-    std::unordered_map<TaskId, TaskSpec> inflight_specs GUARDED_BY(mu);
+    std::unordered_map<TaskId, Inflight> inflight GUARDED_BY(mu);
   };
   static constexpr size_t kTaskShards = 8;
 
@@ -179,29 +165,25 @@ class Scheduler {
   // gang and tries to release the gang.
   void Admit(TaskSpec spec);
 
-  // Picks a queue for the spec per policy. Locks nodes_mu_ only.
-  Result<QueuePtr> PickQueue(const TaskSpec& spec) EXCLUDES(nodes_mu_);
+  Node* FindNode(NodeId id) const;
+  // Picks a live node for the spec per policy. Locks nodes_mu_ only.
+  Result<Node*> PickNode(const TaskSpec& spec) EXCLUDES(nodes_mu_);
 
-  // Places one dep-ready task: pick a queue, enqueue, pump. On terminal
-  // placement failure invokes unschedulable_. Never holds a lock across
-  // dispatch_.
+  // Places one dep-ready task: pick a node and dispatch to it. On terminal
+  // placement failure invokes unschedulable_.
   void Route(TaskSpec spec);
   void RouteAll(std::vector<TaskSpec> specs);
 
-  // Drains q if no other thread is pumping it; steals for q when it empties.
-  void Pump(const QueuePtr& q);
-  // Records in-flight state and calls dispatch_; on failure removes the node
-  // and re-routes the spec.
-  void DispatchOne(TaskSpec spec, const QueuePtr& q);
-  // If q has spare worker capacity and an empty queue, repeatedly steals the
-  // newest compatible task from the longest other queue and dispatches it on
-  // q's node.
-  void TrySteal(const QueuePtr& q);
-  // Whether `spec` may run on `q`'s node (pin + device constraints).
-  static bool Compatible(const TaskSpec& spec, const NodeQueue& q);
+  // Records the task in flight on `node` and calls dispatch_ (no lock held);
+  // on failure drops the node and routes the task again.
+  void Dispatch(TaskSpec spec, Node* node);
 
-  // Removes the node from the candidate set and re-routes its queued tasks.
-  // Safe to call repeatedly.
+  // Erases `task`'s in-flight record and frees its node's slot, but only if
+  // the record names `at` (any node when `at` is invalid). Returns the
+  // recorded spec, or nullopt when there was no such record.
+  std::optional<TaskSpec> TakeInflight(TaskId task, NodeId at = NodeId());
+
+  // Removes the node from the candidate set. Safe to call repeatedly.
   void RemoveNode(NodeId node);
 
   // Releases any gang whose members are all present and covered by free
@@ -213,19 +195,21 @@ class Scheduler {
 
   CachingLayer* cache_;
   MetricsRegistry* metrics_;
+  const SchedulingPolicy policy_;
   DispatchFn dispatch_;
   WatchFn watch_;
   UnschedulableFn unschedulable_;  // set once at wiring time, before traffic
 
+  // Every node, fixed at construction (so FindNode needs no lock).
+  std::vector<std::unique_ptr<Node>> nodes_;
+
   // Candidate set + policy state. Lock order: nodes_mu_ may be taken under
   // gangs_mu_ (slot check) and may take CachingLayer::mu_ (locality probe);
-  // never taken under a queue or shard mutex.
-  mutable Mutex nodes_mu_;
+  // never taken under a shard mutex.
+  Mutex nodes_mu_;
+  // The nodes still alive, in construction order; a dead node leaves for good.
+  std::vector<Node*> live_ GUARDED_BY(nodes_mu_);
   Rng rng_ GUARDED_BY(nodes_mu_);
-  SchedulingPolicy policy_ GUARDED_BY(nodes_mu_);
-  std::vector<QueuePtr> queues_ GUARDED_BY(nodes_mu_);
-  // Dead nodes' queues are erased here; inflight_on lookups then miss -> 0.
-  std::unordered_map<NodeId, QueuePtr> queue_by_node_ GUARDED_BY(nodes_mu_);
   size_t round_robin_next_ GUARDED_BY(nodes_mu_) = 0;
 
   // Each shard's contents are guarded by its own mutex, which is terminal.
@@ -234,7 +218,7 @@ class Scheduler {
   // Gang groups: admitted members buffered until gang_size present + slots
   // free. Lock order: gangs_mu_ -> nodes_mu_ (slot check); nothing takes
   // gangs_mu_ while holding another lock.
-  mutable Mutex gangs_mu_;
+  Mutex gangs_mu_;
   std::map<std::string, std::vector<TaskSpec>> gangs_ GUARDED_BY(gangs_mu_);
 
   // Cheap pending_tasks() (the gauge updates on every submit): parked tasks
@@ -251,7 +235,6 @@ class Scheduler {
   Counter* retries_ctr_;
   Counter* abort_redispatch_ctr_;
   Counter* failover_ctr_;
-  Counter* steal_ctr_;
   Gauge* pending_gauge_;
 };
 

@@ -149,6 +149,36 @@ TEST_F(RuntimeTest, WaitWithZeroTimeoutPassesReadyRefs) {
   EXPECT_LT(NowNanos() - start, 1'000'000'000);
 }
 
+// GetOp probes the owner record before it honours its deadline: a zero
+// budget resolves a ready ref (local or remote) every time and fails a
+// pending one at once.
+TEST_F(RuntimeTest, GetWithZeroTimeoutReturnsReadyValue) {
+  Build();
+  auto put = runtime_->Put(I64Buffer(7));
+  ASSERT_TRUE(put.ok());
+  auto produced = runtime_->Submit(Call("inc_i64", {TaskArg::Value(I64Buffer(41))}));
+  ASSERT_TRUE(produced.ok());
+  ASSERT_TRUE(runtime_->Wait({(*produced)[0]}, 10000).ok());
+  const std::vector<ObjectRef> ready = {*put, (*produced)[0]};
+  for (int i = 0; i < 1000; ++i) {
+    auto value = runtime_->Get(ready[static_cast<size_t>(i % 2)], 0);
+    ASSERT_TRUE(value.ok()) << "iteration " << i << ": " << value.status().ToString();
+    EXPECT_EQ(I64Of(*value), i % 2 == 0 ? 7 : 42);
+    auto values = runtime_->GetAll(ready, 0);
+    ASSERT_TRUE(values.ok()) << "iteration " << i << ": " << values.status().ToString();
+    EXPECT_EQ(I64Of((*values)[1]), 42);
+  }
+
+  const ObjectId pending = ObjectId::Next();
+  ASSERT_TRUE(runtime_->ownership(cluster_->head()).RegisterObject(pending, nullptr).ok());
+  const ObjectRef pending_ref{pending, cluster_->head()};
+  const int64_t start = NowNanos();
+  EXPECT_EQ(runtime_->Get(pending_ref, 0).status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(runtime_->GetAll({*put, pending_ref}, 0).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_LT(NowNanos() - start, 1'000'000'000);
+}
+
 TEST_F(RuntimeTest, ReleaseDeletesObject) {
   Build();
   auto ref = runtime_->Put(Buffer::FromString("temp"));

@@ -22,9 +22,9 @@ Targets (--bench):
   control_plane -> bench_control_plane -> BENCH_control_plane.json: sharded
     control-plane numbers — ownership-table open-loop throughput and the
     modelled shard-serialization speedup vs the single-lock baseline
-    (acceptance bound: >= 3x at 8 shards), per-raylet scheduler submit
-    throughput with steal counts, and the push-batching control-message
-    delta (batched vs unbatched fan-in dispatch).
+    (acceptance bound: >= 3x at 8 shards), scheduler submit throughput,
+    and the push-batching control-message delta (batched vs unbatched
+    fan-in dispatch).
 
 Usage:
   tools/bench.py [--bench kernels|serde] [--build-dir build] [--out FILE]
@@ -251,7 +251,6 @@ CONTROL_PLANE_COUNTERS = (
     "op_p50_us",
     "op_p99_us",
     "lock_waits",
-    "steals",
     "shard_balance",
     "control_messages",
     "push_entries",

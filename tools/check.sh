@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local verification matrix: default build, ThreadSanitizer build,
-# AddressSanitizer build, and a debug-locks build whose every Mutex is the
+# AddressSanitizer+UBSan build, and a debug-locks build whose every Mutex is the
 # runtime lock-order checker (DebugMutex) — each with the whole ctest suite,
 # which includes the repo_lint test — in separate build trees so they don't
 # clobber each other.
@@ -42,9 +42,9 @@ run_mode() {
   echo "==> [$name] bench_trace smoke"
   SKADI_BENCH_SMOKE=1 "$dir/bench/bench_trace" > /dev/null
   # One-iteration control-plane smoke: hammers the sharded ownership table
-  # from 8 threads, the per-raylet scheduler queues (with stealing) from 4
+  # from 8 threads, the scheduler's dispatch-on-admit path from 4
   # submitters, and the batched push path end-to-end — the shard locks and
-  # queue handoffs are exactly what TSan needs to watch.
+  # per-node atomics are exactly what TSan needs to watch.
   echo "==> [$name] bench_control_plane smoke"
   SKADI_BENCH_SMOKE=1 "$dir/bench/bench_control_plane" > /dev/null
   # Gang release and burst parking (A6) and lineage re-execution (A1) end
