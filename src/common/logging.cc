@@ -27,7 +27,7 @@ std::string_view LogLevelName(LogLevel level) {
 
 namespace {
 Mutex& LogMutex() {
-  static Mutex mu("log");
+  static Mutex mu;
   return mu;
 }
 

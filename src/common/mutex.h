@@ -7,111 +7,25 @@
 //   CondVar     — condition variable that waits on a MutexLock; use explicit
 //                 `while (...) cv.Wait(lock);` loops so the guarded reads sit
 //                 in the annotated enclosing function, not in a lambda.
-//   DebugMutex  — Mutex plus dynamic lock-order checking: every acquisition
-//                 records "A held while locking B" edges in a global graph
-//                 and aborts with a report when an edge closes a cycle
-//                 (a potential deadlock, even if this run did not hang).
 //
-// Building with -DSKADI_DEBUG_LOCKS makes skadi::Mutex an alias of
-// DebugMutex, so the whole runtime runs under the lock-order checker.
+// Lock order is checked dynamically by ThreadSanitizer's deadlock detector
+// (-DSKADI_SANITIZE=thread), which reports an acquisition-order cycle even
+// when the run never deadlocks.
 #ifndef SRC_COMMON_MUTEX_H_
 #define SRC_COMMON_MUTEX_H_
 
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <mutex>  // lint:allow raw-mutex (wrapper internals)
-#include <string>
 
 #include "src/common/thread_annotations.h"
 
 namespace skadi {
 
-class DebugMutex;
-
-// Global graph of observed lock-acquisition-order edges, shared by all
-// DebugMutex instances. Thread-safe.
-class LockOrderRegistry {
- public:
-  static LockOrderRegistry& Instance();
-
-  // Handler invoked with a human-readable report when an acquisition closes
-  // a cycle. The default handler prints the report and aborts; tests install
-  // a capturing handler. Pass nullptr to restore the default.
-  void SetCycleHandler(std::function<void(const std::string&)> handler);
-
-  // Drops all recorded edges (test isolation).
-  void Clear();
-
-  // Hooks called by DebugMutex. BeforeLock runs before blocking so a cycle
-  // is reported even when the acquisition would deadlock.
-  void BeforeLock(const DebugMutex* m);
-  void AfterLock(const DebugMutex* m);
-  void AfterUnlock(const DebugMutex* m);
-  void OnDestroy(const DebugMutex* m);
-
- private:
-  LockOrderRegistry() = default;
-  struct Impl;
-  Impl& impl();
-};
-
-// A mutex participating in dynamic lock-order checking.
-class CAPABILITY("mutex") DebugMutex {
- public:
-  DebugMutex() = default;
-  explicit DebugMutex(const char* name) : name_(name) {}
-  ~DebugMutex() { LockOrderRegistry::Instance().OnDestroy(this); }
-
-  DebugMutex(const DebugMutex&) = delete;
-  DebugMutex& operator=(const DebugMutex&) = delete;
-
-  void Lock() ACQUIRE() {
-    LockOrderRegistry::Instance().BeforeLock(this);
-    mu_.lock();
-    LockOrderRegistry::Instance().AfterLock(this);
-  }
-
-  void Unlock() RELEASE() {
-    LockOrderRegistry::Instance().AfterUnlock(this);
-    mu_.unlock();
-  }
-
-  bool TryLock() TRY_ACQUIRE(true) {
-    // try_lock cannot deadlock, so no ordering edge is recorded; the mutex
-    // still joins the held set so later blocking locks order against it.
-    if (!mu_.try_lock()) {
-      return false;
-    }
-    LockOrderRegistry::Instance().AfterLock(this);
-    return true;
-  }
-
-  // Human-readable label for lock-order reports; may be null.
-  const char* name() const { return name_; }
-
-  // BasicLockable interface so std::condition_variable_any (CondVar) and
-  // std::lock_guard can operate on this type.
-  void lock() ACQUIRE() { Lock(); }
-  void unlock() RELEASE() { Unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return TryLock(); }
-
- private:
-  std::mutex mu_;  // lint:allow raw-mutex (wrapper internals)
-  const char* name_ = nullptr;
-};
-
-#ifdef SKADI_DEBUG_LOCKS
-
-using Mutex = DebugMutex;
-
-#else
-
 // Plain annotated mutex: zero overhead over std::mutex.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  explicit Mutex(const char* /*name*/) {}
 
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
@@ -128,8 +42,6 @@ class CAPABILITY("mutex") Mutex {
  private:
   std::mutex mu_;  // lint:allow raw-mutex (wrapper internals)
 };
-
-#endif  // SKADI_DEBUG_LOCKS
 
 // Scoped lock. Supports the drop-the-lock-around-IO pattern through
 // annotated Unlock()/Lock(); the destructor releases only if held.

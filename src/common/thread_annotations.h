@@ -57,7 +57,7 @@
 #define EXCLUDES(...) SKADI_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
 
 // Declares ordering between capabilities (documentation for the analyzer;
-// the runtime DebugMutex checker verifies ordering dynamically).
+// TSan's deadlock detector checks ordering dynamically).
 #define ACQUIRED_BEFORE(...) SKADI_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
 #define ACQUIRED_AFTER(...) SKADI_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 

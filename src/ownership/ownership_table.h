@@ -20,7 +20,7 @@
 // single-lock table and serves as the bench baseline.
 //
 // The records are the runtime's one source of readiness: driver Gets,
-// argument resolution and the scheduler's parked tasks all wait on them
+// argument landings and the scheduler's parked tasks all wait on them
 // through StateOrWatch. Watchers run on the thread that flips the state,
 // after the shard lock is released; a watcher that must not run there
 // (GetOp's) hops to a reactor itself.

@@ -33,12 +33,12 @@ void Raylet::set_metrics(MetricsRegistry* registry) {
   workers_.WireMetrics(hooks);
 }
 
-Status Raylet::Enqueue(TaskSpec spec) {
+Status Raylet::Enqueue(std::shared_ptr<const TaskSpec> spec, std::vector<Buffer> args) {
   if (dead_.load()) {
     return Status::Unavailable("raylet on " + node_.id.ToString() + " is dead");
   }
-  bool accepted = workers_.Post([this, spec = std::move(spec)]() mutable {
-    RunTask(std::move(spec));
+  bool accepted = workers_.Post([this, spec = std::move(spec), args = std::move(args)]() mutable {
+    RunTask(*spec, std::move(args));
   });
   if (!accepted) {
     return Status::Unavailable("raylet on " + node_.id.ToString() + " shut down");
@@ -46,7 +46,7 @@ Status Raylet::Enqueue(TaskSpec spec) {
   return Status::Ok();
 }
 
-void Raylet::RunTask(TaskSpec spec) {
+void Raylet::RunTask(const TaskSpec& spec, std::vector<Buffer> args) {
   if (queue_depth_gauge_ != nullptr) {
     queue_depth_gauge_->Set(static_cast<int64_t>(queue_depth()));
   }
@@ -72,9 +72,7 @@ void Raylet::RunTask(TaskSpec spec) {
     return;
   }
 
-  // Materialize arguments. By-value args are free (shipped with the spec);
-  // by-reference args go through the future-resolution protocol. Resolved
-  // ref-args are pinned in the local store for the duration of the body
+  // Ref-args are pinned in the local store for the duration of the body
   // (including the complete/fail callback) so the entries stay resident
   // while in use; the RAII guard unpins on every exit path.
   struct PinGuard {
@@ -90,30 +88,13 @@ void Raylet::RunTask(TaskSpec spec) {
     }
   } pins{this, node_.id, {}};
 
-  std::vector<Buffer> args;
-  args.reserve(spec.args.size());
   int64_t input_bytes = 0;
-  for (const TaskArg& arg : spec.args) {
-    if (!arg.is_ref()) {
-      args.push_back(arg.value());
-      input_bytes += static_cast<int64_t>(arg.value().size());
-      continue;
-    }
-    Result<Buffer> resolved = callbacks_.resolve_arg(arg.ref(), spec);
-    if (!resolved.ok()) {
-      callbacks_.fail(spec, resolved.status(), node_.id);
-      return;
-    }
-    if (callbacks_.pin_arg && callbacks_.pin_arg(arg.ref(), node_.id)) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    input_bytes += static_cast<int64_t>(args[i].size());
+    const TaskArg& arg = spec.args[i];
+    if (arg.is_ref() && callbacks_.pin_arg && callbacks_.pin_arg(arg.ref(), node_.id)) {
       pins.pinned.push_back(arg.ref());
     }
-    input_bytes += static_cast<int64_t>(resolved->size());
-    args.push_back(std::move(resolved).value());
-  }
-
-  if (dead_.load()) {
-    callbacks_.fail(spec, Status::Aborted("node " + node_.id.ToString() + " died"), node_.id);
-    return;
   }
 
   // Charge the modelled device time for this op.
@@ -135,7 +116,7 @@ void Raylet::RunTask(TaskSpec spec) {
   ctx.trace_ctx = run_span.context();
 
   Result<std::vector<Buffer>> outputs = [&]() -> Result<std::vector<Buffer>> {
-    // The body's own span separates compute from argument resolution and
+    // The body's own span separates compute from the run's bookkeeping and
     // completion overhead in the trace (arg = modelled compute nanos).
     trace::TraceSpan compute_span(names::kSpanRayletCompute, compute_nanos,
                                   "compute_nanos");

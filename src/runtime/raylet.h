@@ -1,7 +1,8 @@
 // Raylet: the per-node daemon of the stateful serverless runtime. Runs a
-// worker pool, resolves task arguments (through runtime-supplied callbacks
-// that implement the pull/push future protocols), charges modelled compute
-// time, executes task bodies, and hands outputs back to the runtime.
+// worker pool over tasks whose arguments the runtime has already landed on
+// this node (pulled or pushed at dispatch), charges modelled compute time,
+// executes task bodies, and hands outputs back to the runtime. A worker never
+// waits on an argument.
 //
 // The same class serves all three deployments from the paper: a server
 // raylet, a raylet offloaded to a DPU (Gen-1), and a device-resident raylet
@@ -27,10 +28,8 @@ namespace skadi {
 class Raylet {
  public:
   struct Callbacks {
-    // Materializes a by-reference argument for a task running on this node.
-    std::function<Result<Buffer>(const ObjectRef& ref, const TaskSpec& spec)> resolve_arg;
-    // Pins/unpins a resolved by-reference argument in this node's object
-    // store around the task body. Resolved Buffers alias the store entry's
+    // Pins/unpins a landed by-reference argument in this node's object
+    // store around the task body. Landed Buffers alias the store entry's
     // storage zero-copy, so the bytes themselves survive eviction either
     // way; pinning keeps the *entry* resident so concurrent readers and
     // re-executions don't pay a refetch while the argument is hot. pin_arg
@@ -41,7 +40,7 @@ class Raylet {
     // Stores outputs, updates ownership, and triggers pushes. Called on the
     // worker thread after the body returns.
     std::function<Status(const TaskSpec& spec, std::vector<Buffer> outputs)> complete;
-    // Reports a task failure (argument resolution, body error, or abort).
+    // Reports a task failure (body error, or abort).
     // `at` is the node the attempt ran on, so the scheduler can tell a stale
     // abort from a dead node apart from the failover re-dispatch of the same
     // task already running elsewhere.
@@ -66,9 +65,10 @@ class Raylet {
   // as set_runtime; call before traffic (SkadiRuntime's constructor does).
   void set_metrics(MetricsRegistry* registry);
 
-  // Queues a task for execution; the spec carries the body it runs. Fails
-  // when the raylet is dead.
-  Status Enqueue(TaskSpec spec);
+  // Queues a task for execution on its landed arguments: args[i] is the
+  // value of spec->args[i]. The spec carries the body it runs. Fails when
+  // the raylet is dead or shut down.
+  Status Enqueue(std::shared_ptr<const TaskSpec> spec, std::vector<Buffer> args);
 
   // Actor management: actors live on exactly one raylet and their tasks run
   // serially against the state cell.
@@ -91,7 +91,7 @@ class Raylet {
   void Shutdown();
 
  private:
-  void RunTask(TaskSpec spec);
+  void RunTask(const TaskSpec& spec, std::vector<Buffer> args);
 
   ClusterNode node_;
   SkadiRuntime* runtime_ = nullptr;

@@ -11,7 +11,42 @@
 
 namespace skadi {
 
-// Resolves one future as a chain of continuations on the control reactor.
+namespace {
+
+// Positional countdown over n async results, shared by GetAll and the
+// argument landing: each slot is filled once, and the fill that lands the
+// count on zero hands every slot to `done`. Like Scheduler::Pending it starts
+// with a +1 guard, which the caller drops (Release) once every fill has
+// started, so fills that complete inline cannot finish the set early.
+struct Gather {
+  using Done = std::function<void(std::vector<Result<Buffer>>)>;
+
+  Gather(size_t n, Done on_done)
+      : results(n, Result<Buffer>(Status::Internal("slot never filled"))),
+        remaining(n + 1),
+        done(std::move(on_done)) {}
+
+  void Fill(size_t i, Result<Buffer> result) {
+    results[i] = std::move(result);
+    Release();
+  }
+
+  void Release() {
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      done(std::move(results));
+    }
+  }
+
+  std::vector<Result<Buffer>> results;
+  std::atomic<size_t> remaining;
+  Done done;
+};
+
+}  // namespace
+
+// Resolves one future for a reader node as a chain of continuations on the
+// control reactor: a driver Get reads at the head, a landing argument at its
+// task's target.
 //
 // Lifecycle: heap-allocated via shared_ptr; every registered continuation
 // (ownership watcher, retry timer, deadline timer, cache fetch callback)
@@ -27,30 +62,23 @@ namespace skadi {
 // but the atomics. The ownership watcher runs on the thread that flips the
 // object's state and only posts the next Step to the control reactor.
 struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
-  // kDriverGet fetches to the head node and charges the driver->owner
-  // control hop; kArgResolve fetches to the consuming node and caps lost
-  // retries at 64 rounds (the old ResolveArg loop bound).
-  enum class Mode { kDriverGet, kArgResolve };
-
   static constexpr TimerId kTimerDone = ~TimerId{0};
+  // Lost rounds (about 1 s of backoff) before the op gives up with
+  // DATA_LOSS: lineage recovery re-arms a recoverable object well within
+  // them, and an output whose producer failed for good is never re-armed.
+  static constexpr int kMaxLostRounds = 64;
 
-  GetOp(SkadiRuntime* rt, Mode mode, ObjectRef ref, NodeId dest,
+  GetOp(SkadiRuntime* rt, ObjectRef ref, NodeId reader, const char* span_name,
         int64_t timeout_ms, std::function<void(Result<Buffer>)> done)
       : rt_(rt),
-        mode_(mode),
         ref_(ref),
-        dest_(dest),
-        timeout_ms_(timeout_ms),
-        start_nanos_(NowNanos()),
-        deadline_nanos_(start_nanos_ + timeout_ms * 1'000'000),
+        reader_(reader),
+        deadline_nanos_(NowNanos() + timeout_ms * 1'000'000),
         done_(std::move(done)),
         // The op's span opens here (under the caller's context) and closes
         // in Finish — which may run on another thread after watcher + timer
         // + fabric hops, exactly the case the SpanHandle shape exists for.
-        span_(trace::BeginSpan(mode == Mode::kDriverGet
-                                   ? names::kSpanRuntimeGet
-                                   : names::kSpanRuntimeResolveArg,
-                               trace::CurrentContext())) {}
+        span_(trace::BeginSpan(span_name, trace::CurrentContext())) {}
 
   Reactor& reactor() { return rt_->control_; }
 
@@ -73,8 +101,8 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
       }
     }
     // A stopped reactor (runtime tear-down race) returns t == 0: no deadline
-    // timer, but Step's inline deadline check plus the caller's bounded
-    // BlockOn still guarantee termination.
+    // timer, but Step's inline deadline check, the lost-round cap and, for
+    // a Get, the caller's bounded BlockOn still guarantee termination.
   }
 
   void Step() {
@@ -112,17 +140,11 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
           return;
         case ObjectState::kLost: {
           if (rt_->options_.recovery == RecoveryMode::kNone) {
-            if (mode_ == Mode::kArgResolve) {
-              Finish(Status::DataLoss("argument " + ref_.ToString() + " of task " +
-                                      task_.ToString() +
-                                      " lost with recovery disabled"));
-            } else {
-              Finish(Status::DataLoss("object " + ref_.ToString() + " lost"));
-            }
+            Finish(Status::DataLoss("object " + ref_.ToString() + " lost"));
             return;
           }
-          if (mode_ == Mode::kArgResolve && ++lost_rounds_ >= 64) {
-            Finish(Status::DataLoss("argument " + ref_.ToString() + " unrecoverable"));
+          if (++lost_rounds_ >= kMaxLostRounds) {
+            Finish(Status::DataLoss("object " + ref_.ToString() + " unrecoverable"));
             return;
           }
           // Lineage recovery re-arms the object to pending; retry on a wheel
@@ -152,27 +174,19 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   }
 
   void Fetch() {
-    if (mode_ == Mode::kDriverGet && ref_.owner != rt_->head()) {
-      rt_->ControlMessage(rt_->head(), ref_.owner);
-    }
+    // The reader's control round trip to the owner (free when the reader is
+    // the owner), then the transfer.
+    rt_->ControlMessage(reader_, ref_.owner);
     auto self = shared_from_this();
     // Called under Step's ScopedContext, so the cache's own span parents
     // under this op; the completion re-adopts in Finish.
     rt_->cluster_->cache().GetAsync(
-        ref_.id, dest_, /*cache_locally=*/false,
+        ref_.id, reader_, /*cache_locally=*/false,
         [self](Result<Buffer> fetched) { self->Finish(std::move(fetched)); });
   }
 
   void OnDeadline() {
-    if (mode_ == Mode::kArgResolve) {
-      // Message shape matches OwnershipTable::WaitReady's bounded-wait error,
-      // which the old per-round loop surfaced.
-      Finish(Status::DeadlineExceeded("object " + ref_.id.ToString() +
-                                      " still pending after " +
-                                      std::to_string(timeout_ms_) + "ms"));
-    } else {
-      Finish(Status::DeadlineExceeded("Get(" + ref_.ToString() + ") timed out"));
-    }
+    Finish(Status::DeadlineExceeded("resolving " + ref_.ToString() + " timed out"));
   }
 
   void Finish(Result<Buffer> result) {
@@ -184,11 +198,6 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
       reactor().Cancel(t);
     }
     rt_->DeregisterOp(this);
-    if (mode_ == Mode::kDriverGet) {
-      rt_->metrics()
-          .GetHistogram(names::kRuntimeGetNanos)
-          .Record(NowNanos() - start_nanos_);
-    }
     trace::EndSpan(span_, result.ok() ? 1 : 0, "ok");
     // Run the user continuation under the op's context so whatever it posts
     // next (often the rest of the driver flow) stays in the tree.
@@ -197,12 +206,8 @@ struct SkadiRuntime::GetOp : std::enable_shared_from_this<SkadiRuntime::GetOp> {
   }
 
   SkadiRuntime* rt_;
-  const Mode mode_;
   const ObjectRef ref_;
-  TaskId task_;  // arg mode: consumer task, for error messages
-  const NodeId dest_;
-  const int64_t timeout_ms_;
-  const int64_t start_nanos_;
+  const NodeId reader_;
   const int64_t deadline_nanos_;
   std::function<void(Result<Buffer>)> done_;
   trace::SpanHandle span_;
@@ -236,9 +241,6 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
     }
     NodeId node_id = node.id;
     Raylet::Callbacks callbacks;
-    callbacks.resolve_arg = [this, node_id](const ObjectRef& ref, const TaskSpec& spec) {
-      return ResolveArg(ref, spec, node_id);
-    };
     callbacks.pin_arg = [this](const ObjectRef& ref, NodeId at) {
       return PinArg(ref, at);
     };
@@ -277,8 +279,11 @@ SkadiRuntime::SkadiRuntime(Cluster* cluster, FunctionRegistry* registry,
           ControlMessage(owner, dst, 64 * static_cast<int64_t>(entries.size()));
           for (const PushEntry& e : entries) {
             // cache_locally=true: the transfer lands the value in the
-            // consumer's store, making the consume-side read local.
-            (void)cluster_->cache().Get(e.object, dst, /*cache_locally=*/true);
+            // consumer's store, where the task's landing reads it locally.
+            // Nothing waits on the result: a value that has not landed by
+            // then is pulled instead.
+            cluster_->cache().GetAsync(e.object, dst, /*cache_locally=*/true,
+                                       [](Result<Buffer>) {});
             metrics().GetCounter(names::kRuntimePushes).Increment();
           }
         },
@@ -474,11 +479,10 @@ Status SkadiRuntime::DispatchToNode(const TaskSpec& spec, NodeId target) {
   ControlMessage(cluster_->head(), target, inline_bytes);
 
   // Push protocol: register the chosen consumer node with the owner of every
-  // ref argument; anything already ready is pushed right now so the value is
-  // local before the task starts. With batching on, the already-ready pushes
-  // of one dispatch coalesce per owner (a k-ref fan-in costs one
-  // owner->target message instead of k) and flush before the task is
-  // enqueued, preserving the value-local-before-start invariant.
+  // ref argument; anything already ready is pushed right now, so the value
+  // is in the target's store before the landing below looks. With batching
+  // on, the already-ready pushes of one dispatch coalesce per owner (a k-ref
+  // fan-in costs one owner->target message instead of k) and flush first.
   if (options_.futures == FutureProtocol::kPush) {
     for (const TaskArg& arg : spec.args) {
       if (!arg.is_ref()) {
@@ -497,58 +501,74 @@ Status SkadiRuntime::DispatchToNode(const TaskSpec& spec, NodeId target) {
     push_batcher_->FlushAll();
   }
 
-  return r->Enqueue(spec);
+  // Land every argument on the target before a worker gets the task. Both
+  // protocols share this path and differ only in who started the transfer:
+  // a pushed value is already in the target's store, and a pull fetches it
+  // now. Pending and lost arguments wait on owner-record watchers and
+  // reactor timers, not on a thread.
+  auto task = std::make_shared<const TaskSpec>(spec);
+  auto gather = std::make_shared<Gather>(
+      spec.args.size(), [this, task, target](std::vector<Result<Buffer>> landed) {
+        EnqueueLanded(task, target, std::move(landed));
+      });
+  LocalObjectStore* store = cluster_->cache().StoreOf(target);
+  for (size_t i = 0; i < spec.args.size(); ++i) {
+    if (!spec.args[i].is_ref()) {
+      gather->Fill(i, spec.args[i].value());
+      continue;
+    }
+    const ObjectRef& ref = spec.args[i].ref();
+    auto fill = [gather, i](Result<Buffer> value) { gather->Fill(i, std::move(value)); };
+    if (store != nullptr && store->Contains(ref.id)) {
+      // Pushed, or a lucky locality placement: no control message.
+      metrics().GetCounter(names::kRuntimeResolveLocalHits).Increment();
+      cluster_->cache().GetAsync(ref.id, target, /*cache_locally=*/false, std::move(fill));
+      continue;
+    }
+    if (options_.futures == FutureProtocol::kPush) {
+      // The value lives remotely without a copy here (e.g. a replica
+      // eviction, or a push still in flight): pull it like pull mode does.
+      metrics().GetCounter(names::kRuntimePushMisses).Increment();
+    }
+    metrics().GetCounter(names::kRuntimePullResolutions).Increment();
+    std::make_shared<GetOp>(this, ref, target, names::kSpanRuntimeResolveArg,
+                            kDefaultGetTimeoutMs, std::move(fill))
+        ->Start();
+  }
+  gather->Release();
+  return Status::Ok();
 }
 
-Result<Buffer> SkadiRuntime::ResolveArg(const ObjectRef& ref, const TaskSpec& spec,
-                                        NodeId at) {
-  // Fast path: the value is already in this node's store (pushed, or a
-  // lucky locality placement).
-  LocalObjectStore* store = cluster_->cache().StoreOf(at);
-  if (store != nullptr && store->Contains(ref.id)) {
-    metrics().GetCounter(names::kRuntimeResolveLocalHits).Increment();
-    return cluster_->cache().Get(ref.id, at);
+void SkadiRuntime::EnqueueLanded(const std::shared_ptr<const TaskSpec>& spec, NodeId target,
+                                 std::vector<Result<Buffer>> landed) {
+  Raylet* r = raylet(target);
+  std::vector<Buffer> args;
+  args.reserve(landed.size());
+  for (Result<Buffer>& value : landed) {
+    if (!value.ok()) {
+      // A landing that failed because its target died is an abort, which
+      // re-places the task unless OnNodeFailure already has. The failure is
+      // reported from the control reactor: inline, it would admit the task's
+      // dependents and fail their landings on this stack, one more set of
+      // frames per link of a failing chain.
+      auto fail = [this, spec, target,
+                   status = r->dead() ? Status::Aborted("node " + target.ToString() + " died")
+                                      : value.status()] { FailTask(*spec, status, target); };
+      if (!control_.Post(fail)) {
+        fail();
+      }
+      return;
+    }
+    args.push_back(std::move(value).value());
   }
-
-  if (options_.futures == FutureProtocol::kPush) {
-    // Push mode should have delivered the value before dispatch; reaching
-    // here means the object lives remotely without a local copy (e.g. a
-    // replica eviction). Fall through to a pull-style fetch.
-    metrics().GetCounter(names::kRuntimePushMisses).Increment();
+  Status queued = r->Enqueue(spec, std::move(args));
+  if (!queued.ok()) {
+    FailTask(*spec, Status::Aborted(queued.message()), target);
   }
-
-  // Pull protocol: a costed control round trip to the owner's ownership
-  // table, then an on-demand data transfer. The wait itself is an arg-mode
-  // GetOp on the control reactor (lost objects retry on a wheel timer, not a
-  // sleep loop); this worker thread parks on the completion Event.
-  ControlMessage(at, ref.owner);
-  metrics().GetCounter(names::kRuntimePullResolutions).Increment();
-
-  const int64_t timeout_ms = kDefaultGetTimeoutMs;
-  auto ev = std::make_shared<Event>();
-  auto result = std::make_shared<Result<Buffer>>(
-      Status::Internal("argument resolution never completed"));
-  auto op = std::make_shared<GetOp>(
-      this, GetOp::Mode::kArgResolve, ref, at, timeout_ms,
-      [ev, result](Result<Buffer> r) {
-        *result = std::move(r);
-        ev->Set();
-      });
-  op->task_ = spec.id;
-  op->Start();
-  // Belt-and-suspenders bound: GetOp's deadline timer fires first in every
-  // non-shutdown schedule; the slack covers a stopped reactor.
-  control_.BlockOn(*ev, NowNanos() + (timeout_ms + 100) * 1'000'000);
-  if (!ev->is_set()) {
-    return Status::DeadlineExceeded("object " + ref.id.ToString() +
-                                    " still pending after " +
-                                    std::to_string(timeout_ms) + "ms");
-  }
-  return std::move(*result);
 }
 
 bool SkadiRuntime::PinArg(const ObjectRef& ref, NodeId at) {
-  // Best effort: the argument may have been resolved from a remote replica
+  // Best effort: the argument may have been pulled from a remote replica
   // without a local copy, in which case there is no entry to pin. The
   // resolved Buffer still aliases refcounted storage, so the task's bytes
   // are safe regardless; pinning only protects store residency.
@@ -643,8 +663,8 @@ void SkadiRuntime::FailTask(const TaskSpec& spec, const Status& status, NodeId a
     return;
   }
   // Non-abort failures are terminal: mark outputs lost so Get unblocks.
-  // MarkLost also admits parked dependents, whose argument resolution then
-  // fails fast and propagates the error instead of hanging the job.
+  // MarkLost also admits parked dependents, whose argument landing then
+  // fails and propagates the error instead of hanging the job.
   for (ObjectId oid : spec.returns) {
     (void)ownership(spec.owner).MarkLost(oid);  // record may already be released
   }
@@ -664,7 +684,8 @@ Result<Buffer> SkadiRuntime::Get(const ObjectRef& ref, int64_t timeout_ms) {
              ev->Set();
            },
            timeout_ms);
-  // See ResolveArg for the bounded-BlockOn rationale.
+  // Belt-and-suspenders bound: GetOp's deadline timer fires first in every
+  // non-shutdown schedule; the slack covers a stopped reactor.
   control_.BlockOn(*ev, NowNanos() + (timeout_ms + 100) * 1'000'000);
   if (!ev->is_set()) {
     return Status::DeadlineExceeded("Get(" + ref.ToString() + ") timed out");
@@ -680,38 +701,32 @@ Result<std::vector<Buffer>> SkadiRuntime::GetAll(const std::vector<ObjectRef>& r
   if (refs.empty()) {
     return std::vector<Buffer>();
   }
-  // Fan out one GetOp per ref on the control reactor and park once on a
-  // shared countdown: N concurrent resolutions, one blocking wait. Sinks
-  // gathering many partitions resolve in resolution order rather than
-  // serially in index order (the old Get-in-a-loop shim).
-  struct GatherState {
-    explicit GatherState(size_t n)
-        : results(n, Result<Buffer>(Status::Internal("GetAll never completed"))),
-          remaining(n) {}
-    std::vector<Result<Buffer>> results;
-    std::atomic<size_t> remaining;
-    Event done;
-  };
-  auto state = std::make_shared<GatherState>(refs.size());
+  // Fan out one GetOp per ref on the control reactor and park once on the
+  // gather: N concurrent resolutions, one blocking wait. Sinks gathering
+  // many partitions resolve in resolution order rather than serially in
+  // index order.
+  auto done = std::make_shared<Event>();
+  auto results = std::make_shared<std::vector<Result<Buffer>>>();
+  auto gather = std::make_shared<Gather>(
+      refs.size(), [done, results](std::vector<Result<Buffer>> gathered) {
+        *results = std::move(gathered);
+        done->Set();
+      });
   for (size_t i = 0; i < refs.size(); ++i) {
     GetAsync(refs[i],
-             [state, i](Result<Buffer> r) {
-               state->results[i] = std::move(r);
-               if (state->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                 state->done.Set();
-               }
-             },
+             [gather, i](Result<Buffer> r) { gather->Fill(i, std::move(r)); },
              timeout_ms);
   }
-  // See ResolveArg for the bounded-BlockOn rationale.
-  control_.BlockOn(state->done, NowNanos() + (timeout_ms + 100) * 1'000'000);
-  if (!state->done.is_set()) {
+  gather->Release();
+  // See Get for the bounded-BlockOn rationale.
+  control_.BlockOn(*done, NowNanos() + (timeout_ms + 100) * 1'000'000);
+  if (!done->is_set()) {
     return Status::DeadlineExceeded("GetAll(" + std::to_string(refs.size()) +
                                     " refs) timed out");
   }
   std::vector<Buffer> values;
   values.reserve(refs.size());
-  for (Result<Buffer>& r : state->results) {
+  for (Result<Buffer>& r : *results) {
     if (!r.ok()) {
       return r.status();
     }
@@ -726,9 +741,15 @@ void SkadiRuntime::GetAsync(const ObjectRef& ref,
   if (timeout_ms < 0) {
     timeout_ms = kDefaultGetTimeoutMs;
   }
-  auto op = std::make_shared<GetOp>(this, GetOp::Mode::kDriverGet, ref,
-                                    cluster_->head(), timeout_ms, std::move(done));
-  op->Start();
+  const int64_t start_nanos = NowNanos();
+  std::make_shared<GetOp>(this, ref, cluster_->head(), names::kSpanRuntimeGet, timeout_ms,
+                          [this, start_nanos, done = std::move(done)](Result<Buffer> r) {
+                            metrics()
+                                .GetHistogram(names::kRuntimeGetNanos)
+                                .Record(NowNanos() - start_nanos);
+                            done(std::move(r));
+                          })
+      ->Start();
 }
 
 Status SkadiRuntime::Wait(const std::vector<ObjectRef>& refs, int64_t timeout_ms) {
@@ -814,7 +835,7 @@ Status SkadiRuntime::KillNode(NodeId node) {
 
   // 4. Re-produce lost objects via lineage (before re-dispatching, so
   // re-dispatched consumers park on the re-armed objects instead of reading
-  // kLost). Without recovery, consumers fail fast on resolve.
+  // kLost). Without recovery, consumers fail at landing.
   if (options_.recovery == RecoveryMode::kLineage) {
     RecoverLostObjects(lost);
   }
@@ -827,7 +848,8 @@ Status SkadiRuntime::KillNode(NodeId node) {
 void SkadiRuntime::RecoverLostObjects(const std::vector<ObjectRef>& lost) {
   // Transitive closure over lineage: a lost object's producing task may
   // consume other lost objects; re-arm and re-submit each producing task
-  // once. Argument waits inside workers order the re-execution correctly.
+  // once. Each re-run lands its arguments first, which orders the
+  // re-execution correctly.
   std::vector<ObjectRef> frontier = lost;
   std::unordered_map<TaskId, std::shared_ptr<const TaskSpec>> to_resubmit;
 

@@ -9,10 +9,11 @@
 //  * generation: Gen-1 routes control messages of device-resident code
 //    through the complex's DPU (the CPU-centric model); Gen-2 gives every
 //    device its own raylet and direct control paths (device-centric).
-//  * futures: kPull resolves a by-reference argument at consume time with a
-//    control round trip to the owner plus an on-demand transfer; kPush has
-//    the owner proactively push the value to registered consumers the moment
-//    it is produced.
+//  * futures: kPull fetches a by-reference argument when its task is
+//    dispatched, with a control round trip from the target to the owner plus
+//    an on-demand transfer; kPush has the owner proactively push the value to
+//    registered consumers the moment it is produced. Either way every
+//    argument has landed on the target before a raylet worker gets the task.
 #ifndef SRC_RUNTIME_RUNTIME_H_
 #define SRC_RUNTIME_RUNTIME_H_
 
@@ -52,8 +53,8 @@ struct RuntimeOptions {
 
 class SkadiRuntime {
  public:
-  // Resolve-side timeout for pull-mode argument waits and for driver Gets
-  // and Waits called with timeout_ms < 0.
+  // Timeout for argument landings, and for driver Gets and Waits called with
+  // timeout_ms < 0.
   static constexpr int64_t kDefaultGetTimeoutMs = 30000;
 
   SkadiRuntime(Cluster* cluster, FunctionRegistry* registry, RuntimeOptions options = {});
@@ -85,7 +86,8 @@ class SkadiRuntime {
   // inline when the future is already resolved (or fails fast), otherwise on
   // the control reactor when the owner flips the object's state. Lost objects
   // under lineage recovery re-arm a reactor timer (capped exponential
-  // backoff) instead of sleeping. Requires a live cluster; timeout_ms < 0
+  // backoff) instead of sleeping, and fail with DATA_LOSS after 64 rounds
+  // (about 1 s) that leave them lost. Requires a live cluster; timeout_ms < 0
   // means kDefaultGetTimeoutMs.
   void GetAsync(const ObjectRef& ref, std::function<void(Result<Buffer>)> done,
                 int64_t timeout_ms = -1);
@@ -139,10 +141,10 @@ class SkadiRuntime {
   void Shutdown();
 
  private:
-  // Continuation state machine behind GetAsync/Get/ResolveArg: watches the
-  // owner's table via StateOrWatch, retries lost objects on a reactor timer,
-  // and fetches through CachingLayer::GetAsync once ready. Defined in
-  // runtime.cc.
+  // Continuation state machine behind GetAsync/Get and the pull of a landing
+  // argument: watches the owner's table via StateOrWatch, retries lost
+  // objects on a reactor timer, and fetches to its reader node through
+  // CachingLayer::GetAsync once ready. Defined in runtime.cc.
   struct GetOp;
 
   // One costed control message along the (generation-dependent) path from
@@ -150,8 +152,7 @@ class SkadiRuntime {
   int ControlMessage(NodeId from, NodeId to, int64_t payload_bytes = 64);
 
   // Raylet callbacks.
-  Result<Buffer> ResolveArg(const ObjectRef& ref, const TaskSpec& spec, NodeId at);
-  // Pins/unpins a resolved ref-arg's entry in at's store for the duration of
+  // Pins/unpins a landed ref-arg's entry in at's store for the duration of
   // the task body (Raylet::Callbacks::pin_arg contract).
   bool PinArg(const ObjectRef& ref, NodeId at);
   void UnpinArg(const ObjectRef& ref, NodeId at);
@@ -161,7 +162,13 @@ class SkadiRuntime {
   // Scheduler::OnTaskAborted; other failures are terminal.
   void FailTask(const TaskSpec& spec, const Status& status, NodeId at);
 
+  // Sends the task to `target` and lands its arguments there; the value that
+  // lands last enqueues it (EnqueueLanded).
   Status DispatchToNode(const TaskSpec& spec, NodeId target);
+  // Hands a task whose landing finished to its raylet, or fails it: a failed
+  // landing, or one whose target died or refused the task (an abort).
+  void EnqueueLanded(const std::shared_ptr<const TaskSpec>& spec, NodeId target,
+                     std::vector<Result<Buffer>> landed);
 
   // Recovery helpers.
   void RecoverLostObjects(const std::vector<ObjectRef>& lost);

@@ -97,7 +97,7 @@ class Scheduler {
   // Submits a task: admits it at once if no ref argument is pending,
   // otherwise parks it until the last pending argument leaves pending. An
   // argument that is lost or released counts as resolved: the task then
-  // fails or recovers when it resolves its arguments. An admitted task is
+  // fails or recovers while its arguments land. An admitted task is
   // dispatched on the admitting thread, or buffered with its gang until the
   // whole gang is present and has slots.
   Status Submit(TaskSpec spec);

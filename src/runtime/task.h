@@ -28,11 +28,13 @@ struct TaskContext;
 // One task argument: an inline value or a future.
 //
 // Binding is zero-copy throughout: a Value arg carries a Buffer handle
-// (refcounted storage, no payload copy), and a Ref arg resolves to a Buffer
-// aliasing the object store entry's storage. The raylet pins ref-args in the
-// local store for the duration of the body (Raylet::Callbacks::pin_arg);
-// even without a pin, the resolved handle keeps the bytes alive across
-// eviction — eviction drops the store entry, not the shared storage.
+// (refcounted storage, no payload copy), and a Ref arg lands on the task's
+// node at dispatch as a Buffer aliasing the object store entry's storage.
+// The raylet pins landed ref-args in its local store for the duration of
+// the body (Raylet::Callbacks::pin_arg, best effort: a value pulled without
+// a local copy has no entry to pin); the landed handle keeps the bytes
+// alive across eviction either way — eviction drops the store entry, not
+// the shared storage.
 class TaskArg {
  public:
   static TaskArg Value(Buffer value) {

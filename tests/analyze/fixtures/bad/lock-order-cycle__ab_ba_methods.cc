@@ -1,7 +1,7 @@
 // Analyzer fixture (not compiled): the classic AB/BA inversion split
 // across two methods of one class. Either order alone is fine; together
-// they deadlock on some interleaving. The runtime DebugMutex detector only
-// sees this if both paths actually execute — the static graph proves it.
+// they deadlock on some interleaving. TSan's deadlock detector only sees
+// this if both paths actually execute — the static graph proves it.
 #include "src/common/mutex.h"
 
 namespace skadi {

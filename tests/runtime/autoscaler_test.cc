@@ -24,9 +24,6 @@ class AutoscalerTest : public ::testing::Test {
         });
 
     Raylet::Callbacks callbacks;
-    callbacks.resolve_arg = [](const ObjectRef&, const TaskSpec&) -> Result<Buffer> {
-      return Buffer();
-    };
     callbacks.complete = [this](const TaskSpec&, std::vector<Buffer>) {
       done_.fetch_add(1);
       return Status::Ok();
@@ -40,7 +37,7 @@ class AutoscalerTest : public ::testing::Test {
       TaskSpec spec = Call("hold", {});
       spec.id = TaskId::Next();
       spec.body = hold_body_;
-      ASSERT_TRUE(raylet_->Enqueue(spec).ok());
+      ASSERT_TRUE(raylet_->Enqueue(std::make_shared<const TaskSpec>(std::move(spec)), {}).ok());
     }
   }
 

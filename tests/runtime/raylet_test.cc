@@ -23,14 +23,10 @@ class RayletTest : public ::testing::Test {
 
   std::unique_ptr<Raylet> MakeRaylet(int workers = 2) {
     Raylet::Callbacks callbacks;
-    callbacks.resolve_arg = [this](const ObjectRef& ref, const TaskSpec&)
-        -> Result<Buffer> {
+    callbacks.pin_arg = [this](const ObjectRef& ref, NodeId) {
       MutexLock lock(mu_);
-      auto it = resolvable_.find(ref.id);
-      if (it == resolvable_.end()) {
-        return Status::NotFound("no such object");
-      }
-      return it->second;
+      pinned_.push_back(ref.id);
+      return true;
     };
     callbacks.complete = [this](const TaskSpec& spec, std::vector<Buffer> outputs) {
       MutexLock lock(mu_);
@@ -57,6 +53,16 @@ class RayletTest : public ::testing::Test {
     return spec;
   }
 
+  // Hands over a task whose arguments are all by value, as the runtime's
+  // landing would: one value per argument.
+  static Status EnqueueValues(Raylet& raylet, const TaskSpec& spec) {
+    std::vector<Buffer> args;
+    for (const TaskArg& arg : spec.args) {
+      args.push_back(arg.value());
+    }
+    return raylet.Enqueue(std::make_shared<const TaskSpec>(spec), std::move(args));
+  }
+
   // Waits until `n` completions+failures accumulated.
   void AwaitOutcomes(size_t n, int timeout_ms = 5000) {
     const auto deadline =
@@ -74,7 +80,7 @@ class RayletTest : public ::testing::Test {
   VirtualClock clock_;
   Mutex mu_;
   CondVar cv_;
-  std::map<ObjectId, Buffer> resolvable_;
+  std::vector<ObjectId> pinned_;
   std::vector<std::pair<TaskId, std::vector<Buffer>>> completed_;
   std::vector<std::pair<TaskId, Status>> failed_;
 };
@@ -82,39 +88,36 @@ class RayletTest : public ::testing::Test {
 TEST_F(RayletTest, ExecutesValueTask) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Task("inc_i64", {TaskArg::Value(I64Buffer(9))});
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(completed_.size(), 1u);
   EXPECT_EQ(I64Of(completed_[0].second[0]), 10);
   EXPECT_EQ(raylet->tasks_executed(), 1);
 }
 
-TEST_F(RayletTest, ResolvesRefArgsThroughCallback) {
+// The runtime lands ref arguments before the raylet gets the task: the body
+// runs on the values handed over, and only the ref arguments are pinned.
+TEST_F(RayletTest, RunsBodyOnLandedRefArgs) {
   auto raylet = MakeRaylet();
-  ObjectId dep = ObjectId::Next();
-  resolvable_[dep] = I64Buffer(41);
-  TaskSpec spec = Task("inc_i64", {TaskArg::Ref({dep, NodeId::Next()})});
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  const ObjectId dep = ObjectId::Next();
+  TaskSpec spec =
+      Task("add_i64", {TaskArg::Ref({dep, NodeId::Next()}), TaskArg::Value(I64Buffer(1))});
+  ASSERT_TRUE(raylet
+                  ->Enqueue(std::make_shared<const TaskSpec>(spec),
+                            {I64Buffer(41), I64Buffer(1)})
+                  .ok());
   AwaitOutcomes(1);
+  MutexLock lock(mu_);
   ASSERT_EQ(completed_.size(), 1u);
   EXPECT_EQ(I64Of(completed_[0].second[0]), 42);
-}
-
-TEST_F(RayletTest, UnresolvableArgFailsTask) {
-  auto raylet = MakeRaylet();
-  TaskSpec spec = Task("inc_i64", {TaskArg::Ref({ObjectId::Next(), NodeId::Next()})});
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
-  AwaitOutcomes(1);
-  ASSERT_EQ(failed_.size(), 1u);
-  EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);
-  EXPECT_EQ(raylet->tasks_executed(), 0);
+  EXPECT_EQ(pinned_, std::vector<ObjectId>{dep});
 }
 
 TEST_F(RayletTest, WrongReturnCountFails) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Task("echo", {TaskArg::Value(Buffer::FromString("x"))});
   spec.num_returns = 2;  // echo produces 1
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
   EXPECT_EQ(failed_[0].second.code(), StatusCode::kInternal);
@@ -124,7 +127,7 @@ TEST_F(RayletTest, ChargesFixedComputeNanos) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Task("echo", {TaskArg::Value(Buffer())});
   spec.fixed_compute_nanos = 123456;
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   AwaitOutcomes(1);
   EXPECT_EQ(clock_.total_nanos(), 123456);
 }
@@ -133,7 +136,7 @@ TEST_F(RayletTest, ChargesCostModelByDefault) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Task("echo", {TaskArg::Value(Buffer::Zeros(1 << 20))});
   spec.op_class = OpClass::kScan;
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   AwaitOutcomes(1);
   EXPECT_EQ(clock_.total_nanos(),
             CostModel::EstimateNanos(node_.device, OpClass::kScan, 1 << 20));
@@ -148,10 +151,10 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
     return std::vector<Buffer>{Buffer()};
   }).ok());
   TaskSpec blocker = Task("block_20ms", {});
-  ASSERT_TRUE(raylet->Enqueue(blocker).ok());
+  ASSERT_TRUE(EnqueueValues(*raylet, blocker).ok());
   for (int i = 0; i < 3; ++i) {
     TaskSpec spec = Task("echo", {TaskArg::Value(Buffer())});
-    ASSERT_TRUE(raylet->Enqueue(spec).ok());
+    ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   }
   raylet->Kill();
   EXPECT_TRUE(raylet->dead());
@@ -163,7 +166,7 @@ TEST_F(RayletTest, KilledRayletAbortsQueuedTasks) {
   for (auto& [task, status] : failed_) {
     EXPECT_EQ(status.code(), StatusCode::kAborted);
   }
-  EXPECT_FALSE(raylet->Enqueue(Task("echo", {})).ok());
+  EXPECT_FALSE(EnqueueValues(*raylet, Task("echo", {})).ok());
 }
 
 TEST_F(RayletTest, WorkerGrowthIncreasesParallelism) {
@@ -194,7 +197,7 @@ TEST_F(RayletTest, ActorStatePersistsAcrossTasks) {
   for (const char* c : {"a", "b", "c"}) {
     TaskSpec spec = Task("append_char", {TaskArg::Value(Buffer::FromString(c))});
     spec.actor = actor;
-    ASSERT_TRUE(raylet->Enqueue(spec).ok());
+    ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   }
   AwaitOutcomes(3);
   MutexLock lock(mu_);
@@ -206,7 +209,7 @@ TEST_F(RayletTest, ActorTaskWithoutActorFails) {
   auto raylet = MakeRaylet();
   TaskSpec spec = Task("echo", {TaskArg::Value(Buffer())});
   spec.actor = ActorId::Next();
-  ASSERT_TRUE(raylet->Enqueue(spec).ok());
+  ASSERT_TRUE(EnqueueValues(*raylet, spec).ok());
   AwaitOutcomes(1);
   ASSERT_EQ(failed_.size(), 1u);
   EXPECT_EQ(failed_[0].second.code(), StatusCode::kNotFound);

@@ -13,7 +13,7 @@ Two layers:
     resolves call sites to callees:
       1. explicit `// analyze:calls Target` annotations (virtual dispatch,
          std::function callbacks, thread entry points),
-      2. qualified calls (`Fabric::Call`),
+      2. qualified calls (`Reactor::Post`),
       3. receiver-chain resolution: the base identifier's type comes from
          locals/params (recorded at summary time) or from the merged
          class-member map (cross-file: members live in the .h, calls in the
@@ -53,9 +53,11 @@ _WAIT_METHODS = {"Wait", "WaitFor", "WaitUntil", "wait", "wait_for",
 _SLEEP_CALLEES = {"sleep", "usleep", "nanosleep", "sleep_for", "sleep_until"}
 _BLOCKING_IO_CALLEES = {"poll", "epoll_wait", "select", "accept", "recvmsg",
                         "fsync", "fdatasync"}
-# Fabric RPC names treated as blocking round trips (the may-block fixture's
-# `fabric_->Send`). Control and TransferBytes are not listed: they only
-# charge modelled time to the clock, never realize it as delay.
+# Fabric RPC names treated as blocking round trips. src/'s Fabric has no
+# such call any more; the seed stays for the may-block fixture
+# (transitive_fabric_call), whose `fabric_->Send` stands for any blocking
+# RPC. Control and TransferBytes are not listed: they only charge modelled
+# time to the clock, never realize it as delay.
 _FABRIC_METHODS = {"Call", "Send"}
 # Reactor blocking boundary: driving the loop (RunOne) and the drain shims
 # (BlockOn / Event::BlockingWait) park or busy the calling thread. Posting,
@@ -318,7 +320,7 @@ def _canonical_mutex(lock, fn):
         if d is not None:
             # Parameter or local reference to some caller's mutex.
             base = _type_idents(d.type_text)
-            if base and base[-1] not in ("Mutex", "DebugMutex"):
+            if base and base[-1] != "Mutex":
                 return f"{base[-1]}::{name}"
             return f"{fn.display_name()}::{name}"
         if fn.class_name:

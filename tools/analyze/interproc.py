@@ -3,9 +3,11 @@
 Four passes, all fixpoint- or SCC-based over the resolved call graph:
 
   may-block        seeds from blocking primitives (CondVar::Wait,
-                   Fabric::Call/Send, Future-style Get, sleep, blocking
-                   IO, and the reactor blocking boundary — RunOne /
-                   BlockOn / Event::BlockingWait) propagate caller-ward;
+                   Future-style Get, sleep, blocking IO, the reactor
+                   blocking boundary — RunOne / BlockOn /
+                   Event::BlockingWait — and fabric Call/Send, which src/
+                   no longer has but the transitive_fabric_call fixture
+                   keeps covered) propagate caller-ward;
                    continuation registration (Post / ScheduleAfter /
                    OnSet / StateOrWatch / GetAsync) is not a seed, and
                    lambda bodies never propagate blocking to the
@@ -13,17 +15,17 @@ Four passes, all fixpoint- or SCC-based over the resolved call graph:
                    while a MutexLock is held whose callee transitively
                    may block is flagged with a call-chain witness. The
                    full may-block set is also emitted as
-                   build/analyze/blocking_inventory.json — the work list
-                   the reactor refactor (ROADMAP item 1) must convert.
+                   build/analyze/blocking_inventory.json: the blocking
+                   boundary, where every entry is a thread that can park.
 
   lock-order-cycle lock-acquisition-order edges are collected across all
                    translation units (A held while acquiring B => A->B),
                    including edges only visible interprocedurally (call
                    under A into a function that transitively acquires B);
                    a strongly connected component in that graph is a
-                   static deadlock candidate — the same property the
-                   runtime DebugMutex/LockOrderRegistry checks dynamically,
-                   but proven over all paths, not just executed ones.
+                   static deadlock candidate — the same property TSan's
+                   deadlock detector checks dynamically, but proven over
+                   all paths, not just executed ones.
 
   pin-balance      the intra rule upgraded: unpin calls provided by a
                    callee (directly or transitively) balance a caller's
@@ -155,14 +157,14 @@ def check_may_block(graph, info):
                 f"{f['display']}() calls {call['callee']}() while holding "
                 f"{locks}, and the callee transitively blocks: "
                 + " -> ".join(chain) +
-                "; release the lock first or convert the wait "
-                "(ROADMAP item 1 reactor refactor)"))
+                "; release the lock first or convert the wait to a "
+                "continuation"))
     return findings
 
 
 def blocking_inventory(graph, info):
     """Deterministic JSON-ready inventory of every transitively-blocking
-    function: the reactor refactor's work list."""
+    function: the blocking boundary."""
     entries = []
     for uid in sorted(info):
         f = graph.functions[uid]
@@ -178,12 +180,12 @@ def blocking_inventory(graph, info):
     entries.sort(key=lambda e: (-e["call_sites"], e["file"], e["line"]))
     return {
         "comment": "Functions that transitively reach a blocking primitive "
-                   "(CondVar::Wait / Fabric::Call / Future-style Get / "
-                   "sleep / blocking IO / reactor-wait — RunOne, BlockOn, "
+                   "(CondVar::Wait / Future-style Get / sleep / blocking "
+                   "IO / reactor-wait — RunOne, BlockOn, "
                    "Event::BlockingWait). Every entry burns an OS thread "
-                   "while it waits. The remaining entries are the intended "
-                   "blocking boundary: reactor drivers and the drain-loop "
-                   "shims under the blocking public APIs (ROADMAP item 1); "
+                   "while it waits. The entries are the intended blocking "
+                   "boundary: reactor drivers and the drain-loop shims "
+                   "under the blocking public APIs; "
                    "continuation-based paths (GetAsync, StateOrWatch, "
                    "Post/ScheduleAfter) do not appear. Ranked by resolved "
                    "call-site count.",
@@ -285,14 +287,14 @@ def check_lock_order(graph, trans_acq):
             file, line, NAME_LOCK_ORDER,
             f"lock-acquisition-order cycle over {{{', '.join(cycle_nodes)}}}"
             f" — a potential deadlock on some interleaving (static "
-            f"counterpart of the DebugMutex runtime detector): {edge_list}"))
+            f"counterpart of TSan's deadlock detector): {edge_list}"))
     return findings
 
 
 def lock_order_dump(graph, trans_acq):
     """JSON-ready dump of the static acquisition-order graph, in the same
-    A-held-while-locking-B edge vocabulary the runtime LockOrderRegistry
-    records — so each tool's output can seed the other's fixtures."""
+    A-held-while-locking-B edge vocabulary TSan's deadlock detector reports
+    in its lock-order-inversion witnesses."""
     edges = build_lock_order_graph(graph, trans_acq)
     out = []
     for a in sorted(edges):

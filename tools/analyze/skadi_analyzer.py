@@ -16,8 +16,9 @@ Interprocedural passes (whole-program, over the tree-wide call graph built
 by call_graph.py; virtual/callback edges declared `// analyze:calls <fn>`):
 
   may-block            fixpoint from blocking primitives (CondVar::Wait,
-                       Fabric::Call, Future-style Get, sleep, blocking IO,
-                       reactor-wait: RunOne / BlockOn / BlockingWait)
+                       Future-style Get, sleep, blocking IO, reactor-wait:
+                       RunOne / BlockOn / BlockingWait; fabric Call/Send
+                       stays a seed for its fixture, src/ has neither)
                        through the call graph; a call under a held lock
                        whose callee transitively blocks is flagged with a
                        call-chain witness. Continuation registration
@@ -28,8 +29,8 @@ by call_graph.py; virtual/callback edges declared `// analyze:calls <fn>`):
   lock-order-cycle     static lock-acquisition-order graph across all
                        translation units (A held while acquiring B,
                        including through calls); SCC = deadlock candidate.
-                       Dumped to build/analyze/lock_order.json in the same
-                       edge vocabulary as the runtime DebugMutex detector.
+                       Dumped to build/analyze/lock_order.json; TSan's
+                       deadlock detector checks the same at runtime.
   pin-balance          the per-function rule upgraded: an unpin provided
                        by a (transitive) callee balances the caller's pin.
   view-escape          helper-mediated escapes: return/member-store of
@@ -106,8 +107,8 @@ INTERPROC_RULES = {
     interproc.NAME_MAY_BLOCK:
         "may-block: a call made while a MutexLock is held whose callee "
         "transitively reaches a blocking primitive (CondVar::Wait, "
-        "Fabric::Call, Future-style Get, sleep, blocking IO, or the "
-        "reactor blocking boundary RunOne/BlockOn/BlockingWait).",
+        "Future-style Get, sleep, blocking IO, or the reactor blocking "
+        "boundary RunOne/BlockOn/BlockingWait).",
     interproc.NAME_LOCK_ORDER:
         "lock-order-cycle: a cycle in the static cross-TU "
         "lock-acquisition-order graph — a deadlock on some interleaving.",
@@ -393,7 +394,7 @@ def selftest(root, rules, cache_path):
 
     if inventory["total"] == 0:
         failures.append("blocking inventory is empty: the tree has known "
-                        "blocking primitives (CondVar::Wait, Fabric::Call), "
+                        "blocking primitives (CondVar::Wait, BlockOn), "
                         "so the may-block fixpoint lost them")
     if escapes["total"] == 0 or not any(
             s["file"].startswith("src") for s in escapes["sites"]):

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Full local verification matrix: default build, ThreadSanitizer build,
-# AddressSanitizer+UBSan build, and a debug-locks build whose every Mutex is the
-# runtime lock-order checker (DebugMutex) — each with the whole ctest suite,
-# which includes the repo_lint test — in separate build trees so they don't
-# clobber each other.
+# Full local verification matrix: default build, ThreadSanitizer build (data
+# races and lock-order cycles) and AddressSanitizer+UBSan build — each with
+# the whole ctest suite, which includes the repo_lint test — in separate build
+# trees so they don't clobber each other.
 #
 # Usage: tools/check.sh [jobs]
 set -euo pipefail
@@ -74,7 +73,6 @@ python3 tools/analyze/skadi_analyzer.py --sarif build/analyze/findings.sarif
 run_mode default  build-check
 run_mode thread   build-tsan  -DSKADI_SANITIZE=thread
 run_mode address  build-asan  -DSKADI_SANITIZE=address
-run_mode debug-locks build-dl -DSKADI_DEBUG_LOCKS=ON
 
 # Wall-clock fuzz smoke on the ASan tree: seed corpus + 30 s of mutations
 # against the wire decoders (ctest already did a short deterministic run;
