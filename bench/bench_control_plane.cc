@@ -81,12 +81,11 @@ void BM_OwnershipOpenLoop(benchmark::State& state) {
       start_gate.fetch_add(1);
       while (start_gate.load() < threads) {
       }
-      NodeId where(100 + tid);
       for (int i = 0; i < ops; ++i) {
         const int64_t t0 = NowNanos();
         ObjectId id = ObjectId::Next();
         (void)table.RegisterObject(id, nullptr);
-        (void)table.MarkReady(id, where, 64);
+        (void)table.MarkReady(id, 64);
         (void)table.Resolve(id);
         (void)table.DecRef(id);
         lat.push_back(NowNanos() - t0);
@@ -128,7 +127,7 @@ void BM_OwnershipShardSerialization(benchmark::State& state) {
           std::hash<ObjectId>()(id) % static_cast<size_t>(shards);
       const int64_t t0 = NowNanos();
       (void)table.RegisterObject(id, nullptr);
-      (void)table.MarkReady(id, NodeId(100), 64);
+      (void)table.MarkReady(id, 64);
       (void)table.Resolve(id);
       (void)table.DecRef(id);
       const int64_t dt = NowNanos() - t0;

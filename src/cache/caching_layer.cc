@@ -32,6 +32,25 @@ LocalObjectStore* CachingLayer::StoreOf(NodeId node) const {
   return it == stores_.end() ? nullptr : it->second.get();
 }
 
+bool CachingLayer::HasLiveCopyLocked(const DirEntry& entry, NodeId failing) const {
+  auto alive = [&](NodeId node) { return node == failing || !fabric_->IsDead(node); };
+  for (NodeId node : entry.locations) {
+    if (alive(node)) {
+      return true;
+    }
+  }
+  if (entry.ec == nullptr) {
+    return false;
+  }
+  int shards = 0;
+  for (size_t i = 0; i < entry.ec->shards.size(); ++i) {
+    if (entry.ec->shard_alive[i] && alive(entry.ec->shards[i].first)) {
+      ++shards;
+    }
+  }
+  return shards >= entry.ec->config.data_shards;
+}
+
 std::vector<NodeId> CachingLayer::PickReplicaTargetsLocked(NodeId primary,
                                                            int count) const {
   std::vector<NodeId> targets;
@@ -60,24 +79,7 @@ Status CachingLayer::Put(ObjectId id, Buffer data, NodeId at) {
   if (existing != directory_.end()) {
     // Re-putting an object whose every copy died restores it in place
     // (lineage re-execution produces the same object id, §2.1).
-    bool any_live = false;
-    for (NodeId node : existing->second.locations) {
-      if (!fabric_->IsDead(node)) {
-        any_live = true;
-        break;
-      }
-    }
-    if (!any_live && existing->second.ec != nullptr) {
-      int alive = 0;
-      const EcInfo& ec = *existing->second.ec;
-      for (size_t i = 0; i < ec.shards.size(); ++i) {
-        if (ec.shard_alive[i] && !fabric_->IsDead(ec.shards[i].first)) {
-          ++alive;
-        }
-      }
-      any_live = alive >= ec.config.data_shards;
-    }
-    if (any_live) {
+    if (HasLiveCopyLocked(existing->second)) {
       return Status::AlreadyExists("object " + id.ToString() +
                                    " already in caching layer");
     }
@@ -562,7 +564,8 @@ Status CachingLayer::EnableSpillToBlade(NodeId node) {
   return Status::Ok();
 }
 
-void CachingLayer::OnNodeFailure(NodeId node) {
+std::vector<ObjectId> CachingLayer::OnNodeFailure(NodeId node) {
+  std::vector<ObjectId> lost;
   std::shared_ptr<LocalObjectStore> dead_store;
   {
     MutexLock lock(mu_);
@@ -571,6 +574,7 @@ void CachingLayer::OnNodeFailure(NodeId node) {
       dead_store = sit->second;
     }
     for (auto& [id, entry] : directory_) {
+      const bool was_live = HasLiveCopyLocked(entry, /*failing=*/node);
       entry.locations.erase(node);
       if (entry.ec != nullptr) {
         for (size_t i = 0; i < entry.ec->shards.size(); ++i) {
@@ -579,40 +583,14 @@ void CachingLayer::OnNodeFailure(NodeId node) {
           }
         }
       }
+      if (was_live && !HasLiveCopyLocked(entry)) {
+        lost.push_back(id);
+      }
     }
   }
   // Clear outside mu_: store locks order before the directory lock.
   if (dead_store != nullptr) {
     dead_store->Clear();
-  }
-}
-
-std::vector<ObjectId> CachingLayer::LostObjects() const {
-  MutexLock lock(mu_);
-  std::vector<ObjectId> lost;
-  for (const auto& [id, entry] : directory_) {
-    bool has_copy = false;
-    for (NodeId node : entry.locations) {
-      if (!fabric_->IsDead(node)) {
-        has_copy = true;
-        break;
-      }
-    }
-    if (has_copy) {
-      continue;
-    }
-    if (entry.ec != nullptr) {
-      int alive = 0;
-      for (size_t i = 0; i < entry.ec->shards.size(); ++i) {
-        if (entry.ec->shard_alive[i] && !fabric_->IsDead(entry.ec->shards[i].first)) {
-          ++alive;
-        }
-      }
-      if (alive >= entry.ec->config.data_shards) {
-        continue;
-      }
-    }
-    lost.push_back(id);
   }
   return lost;
 }

@@ -2,7 +2,9 @@
 // HBM, disaggregated memory blades, and cloud durable storage. It hides data
 // location and movement (§2.1: "the caching layer can hide the location and
 // movement of data") and provides the reliability options of §2.1: N-way
-// replication and Reed-Solomon erasure coding.
+// replication and Reed-Solomon erasure coding. Its directory is the one
+// record of where each object's copies and shards are, so it alone decides
+// what a node failure lost (OnNodeFailure).
 #ifndef SRC_CACHE_CACHING_LAYER_H_
 #define SRC_CACHE_CACHING_LAYER_H_
 
@@ -106,13 +108,12 @@ class CachingLayer {
 
   // --- Failure handling ---
 
-  // Drops every copy/shard recorded on `node` (its store died). Objects
-  // whose last copy vanished stay in the directory with zero locations; Get
-  // then reports kDataLoss (unless EC shards elsewhere still reconstruct).
-  void OnNodeFailure(NodeId node);
-
-  // Objects that currently have no live copies and no decodable shards.
-  std::vector<ObjectId> LostObjects() const;
+  // Drops every copy/shard recorded on `node` (its store died) and returns
+  // the objects this failure lost: those whose last live copy, or last
+  // decodable EC shard set, was on `node`. They stay in the directory with
+  // zero locations; Get then reports kDataLoss, and a later Put of the same
+  // id restores them. Call after the fabric marks `node` dead.
+  std::vector<ObjectId> OnNodeFailure(NodeId node);
 
  private:
   struct EcInfo {
@@ -128,6 +129,12 @@ class CachingLayer {
     std::set<NodeId> locations;
     std::unique_ptr<EcInfo> ec;
   };
+
+  // Whether `entry` has a copy, or enough EC shards to decode, on a node the
+  // fabric counts alive. `failing` counts as alive too: OnNodeFailure asks
+  // whether the entry survived until that node failed.
+  bool HasLiveCopyLocked(const DirEntry& entry, NodeId failing = NodeId()) const
+      REQUIRES(mu_);
 
   // Picks replication targets: non-blade nodes != primary, deterministic
   // order.

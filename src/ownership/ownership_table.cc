@@ -106,8 +106,7 @@ Status OwnershipTable::RegisterObject(ObjectId id, std::shared_ptr<const TaskSpe
 }
 
 Result<std::vector<ConsumerRegistration>> OwnershipTable::MarkReady(
-    ObjectId id, NodeId location, int64_t size_bytes, DeviceId device,
-    uint64_t device_handle) {
+    ObjectId id, int64_t size_bytes, DeviceId device, uint64_t device_handle) {
   std::vector<ConsumerRegistration> consumers;
   std::vector<Continuation> watchers;
   Shard& s = shard(id);
@@ -120,7 +119,6 @@ Result<std::vector<ConsumerRegistration>> OwnershipTable::MarkReady(
     }
     OwnershipRecord& record = it->second;
     record.state = ObjectState::kReady;
-    record.locations.insert(location);
     record.size_bytes = size_bytes;
     record.device = device;
     record.device_handle = device_handle;
@@ -131,40 +129,17 @@ Result<std::vector<ConsumerRegistration>> OwnershipTable::MarkReady(
   return consumers;
 }
 
-Status OwnershipTable::AddLocation(ObjectId id, NodeId location) {
-  Shard& s = shard(id);
-  ShardLock lock(s.mu, shard_lock_waits_);
-  auto it = s.records.find(id);
-  if (it == s.records.end()) {
-    return Status::NotFound("object " + id.ToString() + " not owned");
-  }
-  it->second.locations.insert(location);
-  return Status::Ok();
-}
-
-std::vector<ObjectId> OwnershipTable::OnNodeFailure(NodeId node) {
+std::vector<ObjectId> OwnershipTable::OnCopiesLost(const std::vector<ObjectId>& ids) {
   std::vector<ObjectId> lost;
-  std::vector<Continuation> watchers;
-  // Shard-at-a-time sweep: each shard sees a consistent view of its own
-  // records; there is no cross-shard atomicity requirement because loss is
-  // per object. Watchers collected from every shard fire once, at the end,
-  // outside all shard locks.
-  for (auto& shard_ptr : shards_) {
-    Shard& s = *shard_ptr;
+  for (ObjectId id : ids) {
+    Shard& s = shard(id);
     ShardLock lock(s.mu, shard_lock_waits_);
-    for (auto& [id, record] : s.records) {
-      if (record.locations.erase(node) > 0 && record.locations.empty() &&
-          record.state == ObjectState::kReady) {
-        record.state = ObjectState::kLost;
-        lost.push_back(id);
-        auto taken = TakeWatchersLocked(s, id);
-        watchers.insert(watchers.end(),
-                        std::make_move_iterator(taken.begin()),
-                        std::make_move_iterator(taken.end()));
-      }
+    auto it = s.records.find(id);
+    if (it != s.records.end() && it->second.state == ObjectState::kReady) {
+      it->second.state = ObjectState::kLost;
+      lost.push_back(id);
     }
   }
-  FireWatchers(std::move(watchers));
   return lost;
 }
 
@@ -178,7 +153,6 @@ Status OwnershipTable::MarkLost(ObjectId id) {
       return Status::NotFound("object " + id.ToString() + " not owned");
     }
     it->second.state = ObjectState::kLost;
-    it->second.locations.clear();
     watchers = TakeWatchersLocked(s, id);
   }
   FireWatchers(std::move(watchers));
@@ -229,9 +203,6 @@ Result<OwnershipTable::ResolveReply> OwnershipTable::Resolve(ObjectId id) const 
   reply.device = record.device;
   reply.device_handle = record.device_handle;
   reply.producer = record.producer;
-  if (!record.locations.empty()) {
-    reply.location = *record.locations.begin();
-  }
   return reply;
 }
 

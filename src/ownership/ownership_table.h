@@ -1,10 +1,14 @@
 // The heterogeneity-aware ownership table (Figure 3, item 2).
 //
 // Ray's ownership table maps each object to [ID, Owner, Value, ...]. Skadi
-// extends every row with [Locations, DeviceID, DeviceHandle] so objects whose
-// value lives in device HBM behind a DPU are first-class: the raylet on the
-// DPU "also manages memory on its companion devices" through the recorded
-// device handle.
+// extends every row with [DeviceID, DeviceHandle] so objects whose value
+// lives in device HBM behind a DPU are first-class: the raylet on the DPU
+// "also manages memory on its companion devices" through the recorded device
+// handle. Where an object's copies are, and whether any survives a failure,
+// is the caching layer's directory's to say (§2.1: it "can hide the location
+// and movement of data"); a record holds no locations. A node failure
+// reaches the table as the ids whose last copy the directory lost
+// (OnCopiesLost).
 //
 // One OwnershipTable instance exists per owner node. Remote nodes reach it
 // in-process, and the runtime charges every lookup/notification from another
@@ -13,8 +17,8 @@
 // Concurrency (DESIGN.md §13): the table is hash-partitioned by ObjectId into
 // `num_shards` shards, each with its own mutex, records map, and watcher
 // list. Single-object operations (StateOrWatch, MarkReady, DecRef, ...) touch
-// only their shard; cross-shard operations (OnNodeFailure, size,
-// ObjectsInState) iterate the shards one at a time without any global lock,
+// only their shard; cross-shard operations (OnCopiesLost, size,
+// ObjectsInState) visit the shards one at a time without any global lock,
 // so they see a per-shard-consistent (not globally atomic) snapshot — which
 // is all their callers need. `num_shards == 1` degenerates to the old
 // single-lock table and serves as the bench baseline.
@@ -29,8 +33,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -49,8 +51,8 @@ struct TaskSpec;
 
 enum class ObjectState {
   kPending,  // producing task not finished
-  kReady,    // value sealed somewhere (locations non-empty)
-  kLost,     // every copy vanished (node failures)
+  kReady,    // value sealed in the caching layer
+  kLost,     // every copy vanished (node failures) or the producer failed
 };
 
 // Where a consumer task will run; registered so the push protocol knows
@@ -66,10 +68,8 @@ struct OwnershipRecord {
   NodeId owner;
   ObjectState state = ObjectState::kPending;
   int64_t size_bytes = 0;
-  // Nodes currently holding a sealed copy (mirrors the caching layer).
-  std::set<NodeId> locations;
-  // Device-awareness extension: the device whose memory holds the primary
-  // copy, and an opaque handle for its communication driver.
+  // Device-awareness extension: the device whose memory held the value when
+  // it was produced, and an opaque handle for its communication driver.
   DeviceId device;
   uint64_t device_handle = 0;
   // Lineage: the task whose re-execution reproduces this object (null for a
@@ -108,20 +108,19 @@ class OwnershipTable {
   // with the submitted spec as `producer`, and by Put with none).
   Status RegisterObject(ObjectId id, std::shared_ptr<const TaskSpec> producer);
 
-  // Marks the object ready at `location`; runs its watchers and returns the
-  // consumers registered for push-mode resolution (caller pushes to them).
-  Result<std::vector<ConsumerRegistration>> MarkReady(ObjectId id, NodeId location,
-                                                      int64_t size_bytes,
+  // Marks the object ready (its value is already in the caching layer); runs
+  // its watchers and returns the consumers registered for push-mode
+  // resolution (caller pushes to them).
+  Result<std::vector<ConsumerRegistration>> MarkReady(ObjectId id, int64_t size_bytes,
                                                       DeviceId device = DeviceId(),
                                                       uint64_t device_handle = 0);
 
-  // Records an additional replica location for a ready object.
-  Status AddLocation(ObjectId id, NodeId location);
-
-  // Drops `node` from every record's locations; records whose last location
-  // vanished flip back to kLost. Returns the ids that became lost. Iterates
-  // the shards one at a time (no global lock).
-  std::vector<ObjectId> OnNodeFailure(NodeId node);
+  // The caching layer lost the last copy of each of `ids` (a node failure).
+  // Flips those this table owns and holds kReady to kLost and returns them;
+  // ids it does not own, and records still pending or already lost, are
+  // skipped. A ready record has no watchers (they fired when it became
+  // ready), so nothing fires here.
+  std::vector<ObjectId> OnCopiesLost(const std::vector<ObjectId>& ids);
 
   // Explicitly marks an object lost (e.g. the producing task aborted).
   Status MarkLost(ObjectId id);
@@ -133,11 +132,10 @@ class OwnershipTable {
   // ready the caller should push immediately; indicated by the return value.
   Result<bool> RegisterConsumer(ObjectId id, ConsumerRegistration consumer);
 
-  // Pull protocol: current state + a location to fetch from (nullopt while
-  // pending). The consumer-side raylet pays one control round trip for it.
+  // The record's state, size, device and lineage. A pull pays one control
+  // round trip to the owner, then fetches through the caching layer.
   struct ResolveReply {
     ObjectState state = ObjectState::kPending;
-    std::optional<NodeId> location;
     int64_t size_bytes = 0;
     DeviceId device;
     uint64_t device_handle = 0;
@@ -151,7 +149,7 @@ class OwnershipTable {
   // next leaves kPending (ready, lost, or released; re-probe to learn
   // which). For any other state the watcher is dropped unrun. Watchers fire
   // at most once, on the thread that flipped the state (inside MarkReady,
-  // MarkLost, OnNodeFailure or DecRef), after the shard lock is released.
+  // MarkLost or DecRef), after the shard lock is released.
   // This is the continuation-based replacement for parking a thread in
   // WaitReady.
   Result<ObjectState> StateOrWatch(ObjectId id, Continuation watcher) const;

@@ -46,9 +46,11 @@ void Autoscaler::Tick() {
     if (queued > kScaleUpQueuePerWorker * workers && workers < options_.max_workers) {
       const size_t grow = std::min(options_.max_workers - workers,
                                    std::max<size_t>(1, queued / kScaleUpQueuePerWorker));
-      raylet->GrowWorkers(grow);
+      // Count before resizing, so whoever sees the grown pool also sees
+      // the count.
       scale_ups_.fetch_add(static_cast<int64_t>(grow));
       metrics_->GetCounter(names::kAutoscalerScaleUps).Add(static_cast<int64_t>(grow));
+      raylet->GrowWorkers(grow);
       tracked.idle_ticks = 0;
       continue;
     }
@@ -57,9 +59,9 @@ void Autoscaler::Tick() {
       ++tracked.idle_ticks;
       if (tracked.idle_ticks >= options_.idle_ticks_before_scale_down &&
           workers > options_.min_workers) {
-        raylet->ShrinkWorkers(1);
         scale_downs_.fetch_add(1);
         metrics_->GetCounter(names::kAutoscalerScaleDowns).Increment();
+        raylet->ShrinkWorkers(1);
         tracked.idle_ticks = 0;
       }
     } else {

@@ -445,14 +445,7 @@ Result<ObjectRef> SkadiRuntime::PutAt(Buffer value, NodeId node) {
   SKADI_RETURN_IF_ERROR(table.RegisterObject(id, nullptr));
   int64_t size = static_cast<int64_t>(value.size());
   SKADI_RETURN_IF_ERROR(cluster_->cache().Put(id, std::move(value), node));
-  // Replicas first, as in CompleteTask: MarkReady admits parked consumers.
-  for (NodeId replica : cluster_->cache().Locations(id)) {
-    if (replica != node) {
-      // Best-effort replica bookkeeping: the record may already be gone.
-      (void)table.AddLocation(id, replica);
-    }
-  }
-  auto consumers = table.MarkReady(id, node, size, cluster_->node(node)->device.id);
+  auto consumers = table.MarkReady(id, size, cluster_->node(node)->device.id);
   if (!consumers.ok()) {
     return consumers.status();
   }
@@ -604,20 +597,11 @@ Status SkadiRuntime::CompleteTask(const TaskSpec& spec, std::vector<Buffer> outp
       break;
     }
 
-    // Record caching-layer replicas BEFORE declaring the object ready, so a
-    // failure observed right after MarkReady already sees every copy (loss
-    // is only declared when the last copy dies).
-    for (NodeId replica : cluster_->cache().Locations(oid)) {
-      if (replica != at) {
-        // Best-effort replica bookkeeping: the record may already be gone.
-        (void)table.AddLocation(oid, replica);
-      }
-    }
-    // Notify the owner (device-aware: record where the value physically is).
-    // Its watchers fire inside MarkReady: parked dependents are admitted
-    // here, on this worker.
+    // Notify the owner (device-aware: record the device that holds the
+    // value). Its watchers fire inside MarkReady: parked dependents are
+    // admitted here, on this worker.
     ControlMessage(at, spec.owner);
-    auto consumers = table.MarkReady(oid, at, size, node->device.id,
+    auto consumers = table.MarkReady(oid, size, node->device.id,
                                      /*device_handle=*/node->device.id.value());
     if (!consumers.ok()) {
       status = consumers.status();
@@ -811,24 +795,27 @@ Result<std::vector<ObjectRef>> SkadiRuntime::SubmitActorTask(ActorId actor, Task
 }
 
 Status SkadiRuntime::KillNode(NodeId node) {
-  Raylet* r = raylet(node);
-  if (r == nullptr) {
-    return Status::NotFound("no raylet on " + node.ToString());
+  if (cluster_->node(node) == nullptr) {
+    return Status::NotFound("unknown node " + node.ToString());
   }
   SKADI_LOG(kInfo) << "killing node " << node;
   metrics().GetCounter(names::kRuntimeNodesKilled).Increment();
 
-  // 1. Stop the node: raylet rejects work, fabric rejects messages.
-  r->Kill();
+  // 1. Stop the node: its raylet, if it runs tasks, rejects work (a memory
+  // blade has none); the fabric rejects messages.
+  if (Raylet* r = raylet(node)) {
+    r->Kill();
+  }
   cluster_->fabric().MarkDead(node);
 
-  // 2. Its store contents vanish.
-  cluster_->cache().OnNodeFailure(node);
+  // 2. Its store contents vanish. The directory reports what lost its last
+  // copy (or last decodable shard set) with them.
+  const std::vector<ObjectId> gone = cluster_->cache().OnNodeFailure(node);
 
-  // 3. Owners learn which objects lost their last copy.
+  // 3. Owners flip their ready records among those to lost.
   std::vector<ObjectRef> lost;
   for (auto& [owner, table] : ownership_) {
-    for (ObjectId oid : table->OnNodeFailure(node)) {
+    for (ObjectId oid : table->OnCopiesLost(gone)) {
       lost.push_back(ObjectRef{oid, owner});
     }
   }

@@ -112,10 +112,13 @@ class SkadiRuntime {
 
   // --- Failure injection + recovery ---
 
-  // Kills a node: raylet stops, its store contents vanish, in-flight tasks
-  // fail over. With RecoveryMode::kLineage, lost objects are re-produced by
-  // re-submitting their lineage task DAG: each lost object's ownership record
-  // holds the spec that produced it.
+  // Kills a node (a server, a device or a memory blade): its raylet, if any,
+  // stops, its store contents vanish, in-flight tasks fail over. The caching
+  // layer's directory names the objects whose last copy died with it, and
+  // their owners mark the ready ones lost. With RecoveryMode::kLineage, lost
+  // objects are re-produced by re-submitting their lineage task DAG: each
+  // lost object's ownership record holds the spec that produced it.
+  // NotFound for a node the cluster does not have.
   Status KillNode(NodeId node);
 
   // --- Introspection ---

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <thread>
+#include <vector>
 
 namespace skadi {
 namespace {
@@ -153,24 +154,32 @@ TEST_F(CachingLayerTest, ReplicaSurvivesNodeFailure) {
   ASSERT_TRUE(layer->Put(id, data, a_).ok());
 
   fabric_->MarkDead(a_);
-  layer->OnNodeFailure(a_);
+  EXPECT_TRUE(layer->OnNodeFailure(a_).empty());
 
   auto r = layer->Get(id, c_);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->AsStringView(), "precious");
-  EXPECT_TRUE(layer->LostObjects().empty());
+
+  // The replica was the last copy.
+  fabric_->MarkDead(b_);
+  EXPECT_EQ(layer->OnNodeFailure(b_), std::vector<ObjectId>{id});
 }
 
 TEST_F(CachingLayerTest, UnreplicatedObjectLostOnFailure) {
   auto layer = MakeLayer();
   ObjectId id = ObjectId::Next();
+  ObjectId elsewhere = ObjectId::Next();
   ASSERT_TRUE(layer->Put(id, Buffer::Zeros(8), a_).ok());
+  ASSERT_TRUE(layer->Put(elsewhere, Buffer::Zeros(8), b_).ok());
   fabric_->MarkDead(a_);
-  layer->OnNodeFailure(a_);
+  EXPECT_EQ(layer->OnNodeFailure(a_), std::vector<ObjectId>{id});
   EXPECT_EQ(layer->Get(id, b_).status().code(), StatusCode::kDataLoss);
-  auto lost = layer->LostObjects();
-  ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0], id);
+  // Reported once: a later failure elsewhere does not name it again.
+  fabric_->MarkDead(c_);
+  EXPECT_TRUE(layer->OnNodeFailure(c_).empty());
+  // A re-put (lineage re-execution) restores it in place.
+  EXPECT_TRUE(layer->Put(id, Buffer::Zeros(8), b_).ok());
+  EXPECT_TRUE(layer->Get(id, b_).ok());
 }
 
 TEST_F(CachingLayerTest, EcObjectSurvivesNodeFailure) {
@@ -180,11 +189,29 @@ TEST_F(CachingLayerTest, EcObjectSurvivesNodeFailure) {
   // 4 nodes registered (a, b, c, blade): EC(2,2) spreads over all 4.
   ASSERT_TRUE(layer->PutEc(id, data, {2, 2}).ok());
   fabric_->MarkDead(a_);
-  layer->OnNodeFailure(a_);
+  EXPECT_TRUE(layer->OnNodeFailure(a_).empty());
   auto r = layer->Get(id, b_);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 4096u);
   EXPECT_EQ(*r, data);
+}
+
+// EC(2,2) decodes from any 2 of its 4 shards: it is lost, and reported, only
+// by the failure that leaves fewer than 2, and only by that one.
+TEST_F(CachingLayerTest, EcObjectReportedLostWhenTooFewShardsRemain) {
+  auto layer = MakeLayer();
+  ObjectId id = ObjectId::Next();
+  ASSERT_TRUE(layer->PutEc(id, Buffer::Zeros(4096), {2, 2}).ok());
+  for (NodeId node : {a_, b_}) {
+    fabric_->MarkDead(node);
+    EXPECT_TRUE(layer->OnNodeFailure(node).empty());
+  }
+  ASSERT_TRUE(layer->Get(id, c_).ok());
+  fabric_->MarkDead(c_);
+  EXPECT_EQ(layer->OnNodeFailure(c_), std::vector<ObjectId>{id});
+  EXPECT_FALSE(layer->Get(id, c_).ok());
+  fabric_->MarkDead(blade_);
+  EXPECT_TRUE(layer->OnNodeFailure(blade_).empty());
 }
 
 TEST_F(CachingLayerTest, EcNeedsEnoughNodes) {
@@ -241,6 +268,28 @@ TEST_F(CachingLayerTest, SpillToBladeKeepsObjectReachable) {
   auto r = layer->Get(first, a_);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(fabric_->metrics().GetCounter("cache.spill_bytes").value(), 0);
+}
+
+// A spilled object's copy lives on the blade: its origin's failure leaves it
+// reachable, and the blade's failure loses it.
+TEST_F(CachingLayerTest, SpilledObjectLostOnlyWithTheBlade) {
+  auto layer = MakeLayer({}, /*store_capacity=*/2 * kMiB);
+  ASSERT_TRUE(layer->EnableSpillToBlade(a_).ok());
+  ObjectId spilled = ObjectId::Next();
+  ObjectId resident = ObjectId::Next();
+  ASSERT_TRUE(layer->Put(spilled, Buffer::Zeros(kMiB + kMiB / 2), a_).ok());
+  ASSERT_TRUE(layer->Put(resident, Buffer::Zeros(kMiB + kMiB / 2), a_).ok());
+  ASSERT_EQ(layer->Locations(spilled), std::vector<NodeId>{blade_});
+
+  fabric_->MarkDead(a_);
+  EXPECT_EQ(layer->OnNodeFailure(a_), std::vector<ObjectId>{resident});
+  auto r = layer->Get(spilled, b_);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->size(), static_cast<size_t>(kMiB + kMiB / 2));
+
+  fabric_->MarkDead(blade_);
+  EXPECT_EQ(layer->OnNodeFailure(blade_), std::vector<ObjectId>{spilled});
+  EXPECT_EQ(layer->Get(spilled, b_).status().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(CachingLayerTest, SpillWithoutBladesFails) {

@@ -21,27 +21,25 @@ TEST(OwnershipHammerTest, ConcurrentLifecycles) {
   std::atomic<int> ready_count{0};
 
   auto worker = [&](int tid) {
-    NodeId location(100 + tid);
+    NodeId consumer_node(100 + tid);
     for (int i = 0; i < kObjectsPerThread; ++i) {
       ObjectId id = ObjectId::Next();
       ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
 
       // Consumers registered while pending must be handed back by MarkReady.
-      auto pre = table.RegisterConsumer(id, {TaskId::Next(), location, DeviceId()});
+      auto pre = table.RegisterConsumer(id, {TaskId::Next(), consumer_node, DeviceId()});
       ASSERT_TRUE(pre.ok());
       EXPECT_FALSE(*pre);  // still pending: caller must NOT push yet
 
-      auto consumers = table.MarkReady(id, location, 64);
+      auto consumers = table.MarkReady(id, 64);
       ASSERT_TRUE(consumers.ok());
       EXPECT_EQ(consumers->size(), 1u);
       ready_count.fetch_add(1);
 
-      ASSERT_TRUE(table.AddLocation(id, NodeId(200 + tid)).ok());
-
       auto reply = table.Resolve(id);
       ASSERT_TRUE(reply.ok());
       EXPECT_EQ(reply->state, ObjectState::kReady);
-      ASSERT_TRUE(reply->location.has_value());
+      EXPECT_EQ(reply->size_bytes, 64);
 
       // Ref-count churn: record survives until the final DecRef.
       ASSERT_TRUE(table.IncRef(id).ok());
@@ -65,36 +63,38 @@ TEST(OwnershipHammerTest, ConcurrentLifecycles) {
 
 TEST(OwnershipHammerTest, ConcurrentFailureAndRecovery) {
   OwnershipTable table(NodeId(1));
-  const NodeId flaky(7);
-  const NodeId stable(8);
+  constexpr int kObjects = kThreads * kObjectsPerThread;
 
-  // Writers keep producing objects on the flaky node; one thread keeps
-  // failing it; recoverers re-arm whatever went lost. The table must stay
-  // internally consistent (every record pending, ready, or lost — never
-  // ready with zero locations).
+  // Writers keep producing objects; one thread keeps reporting the copies
+  // of every id lost, as the caching layer does after a node failure, and
+  // re-arms and re-readies whatever flipped. The table must stay internally
+  // consistent (every record pending, ready, or lost).
   std::atomic<bool> stop{false};
   std::atomic<int> produced{0};
-  std::vector<ObjectId> ids(kThreads * kObjectsPerThread);
+  std::vector<ObjectId> ids(kObjects);
+  for (ObjectId& id : ids) {
+    id = ObjectId::Next();  // fixed before any thread starts: read racelessly
+  }
 
   auto producer = [&](int tid) {
     for (int i = 0; i < kObjectsPerThread; ++i) {
-      ObjectId id = ObjectId::Next();
-      ids[tid * kObjectsPerThread + i] = id;
+      ObjectId id = ids[tid * kObjectsPerThread + i];
       ASSERT_TRUE(table.RegisterObject(id, nullptr).ok());
-      ASSERT_TRUE(table.MarkReady(id, flaky, 32).ok());
+      ASSERT_TRUE(table.MarkReady(id, 32).ok());
       produced.fetch_add(1);
     }
   };
   auto failer = [&] {
     while (!stop.load()) {
-      std::vector<ObjectId> lost = table.OnNodeFailure(flaky);
+      // Ids not registered yet are skipped, like ids another table owns.
+      std::vector<ObjectId> lost = table.OnCopiesLost(ids);
       for (ObjectId id : lost) {
         // Concurrent DecRef/recovery may have removed or re-armed it; any
         // status outcome is fine, the table just must not corrupt itself.
         // analyze:allow status-propagation (any status is fine under the race)
         Status s = table.MarkPendingForReconstruction(id);
         if (s.ok()) {
-          ASSERT_TRUE(table.MarkReady(id, stable, 32).ok());
+          ASSERT_TRUE(table.MarkReady(id, 32).ok());
         }
       }
       std::this_thread::yield();
@@ -108,22 +108,20 @@ TEST(OwnershipHammerTest, ConcurrentFailureAndRecovery) {
   stop.store(true);
   threads[0].join();
 
-  EXPECT_EQ(produced.load(), kThreads * kObjectsPerThread);
-  // Quiesced: every surviving record resolves without crashing, and ready
-  // records report a location.
+  EXPECT_EQ(produced.load(), kObjects);
+  // Quiesced: every record resolves without crashing, and none is left
+  // pending (the failer re-readies every record it re-arms).
   int ready = 0, lost = 0;
   for (ObjectId id : ids) {
-    if (!table.Contains(id)) continue;
     auto reply = table.Resolve(id);
     ASSERT_TRUE(reply.ok());
     if (reply->state == ObjectState::kReady) {
-      EXPECT_TRUE(reply->location.has_value());
       ++ready;
     } else if (reply->state == ObjectState::kLost) {
       ++lost;
     }
   }
-  EXPECT_EQ(ready + lost, kThreads * kObjectsPerThread);
+  EXPECT_EQ(ready + lost, kObjects);
 }
 
 // Watch/ready storm across shard counts: watcher threads race StateOrWatch
@@ -168,7 +166,7 @@ TEST_P(ShardedWatchStormTest, WatchersFireExactlyOnce) {
   auto marker = [&](int tid) {
     // Stripe the markers so every object is marked ready exactly once.
     for (int i = tid; i < kObjects; i += kThreads / 2) {
-      ASSERT_TRUE(table.MarkReady(ids[static_cast<size_t>(i)], NodeId(9), 64).ok());
+      ASSERT_TRUE(table.MarkReady(ids[static_cast<size_t>(i)], 64).ok());
     }
   };
 

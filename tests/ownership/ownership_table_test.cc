@@ -31,7 +31,6 @@ TEST_F(OwnershipTableTest, RegisterStartsPending) {
   auto reply = table_.Resolve(id);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->state, ObjectState::kPending);
-  EXPECT_FALSE(reply->location.has_value());
 }
 
 TEST_F(OwnershipTableTest, DuplicateRegisterFails) {
@@ -39,18 +38,16 @@ TEST_F(OwnershipTableTest, DuplicateRegisterFails) {
   EXPECT_EQ(table_.RegisterObject(id, nullptr).code(), StatusCode::kAlreadyExists);
 }
 
-TEST_F(OwnershipTableTest, MarkReadyRecordsLocationAndDevice) {
+TEST_F(OwnershipTableTest, MarkReadyRecordsSizeAndDevice) {
   ObjectId id = Register();
-  NodeId loc = NodeId::Next();
   DeviceId dev = DeviceId::Next();
-  auto consumers = table_.MarkReady(id, loc, 512, dev, 0xBEEF);
+  auto consumers = table_.MarkReady(id, 512, dev, 0xBEEF);
   ASSERT_TRUE(consumers.ok());
   EXPECT_TRUE(consumers->empty());
 
   auto reply = table_.Resolve(id);
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->state, ObjectState::kReady);
-  EXPECT_EQ(*reply->location, loc);
   EXPECT_EQ(reply->size_bytes, 512);
   EXPECT_EQ(reply->device, dev);
   EXPECT_EQ(reply->device_handle, 0xBEEFu);
@@ -69,7 +66,7 @@ TEST_F(OwnershipTableTest, ConsumersRegisteredWhilePendingReturnedOnReady) {
   EXPECT_FALSE(*r1);  // pending: parked
   ASSERT_TRUE(table_.RegisterConsumer(id, c2).ok());
 
-  auto consumers = table_.MarkReady(id, NodeId::Next(), 1);
+  auto consumers = table_.MarkReady(id, 1);
   ASSERT_TRUE(consumers.ok());
   ASSERT_EQ(consumers->size(), 2u);
   EXPECT_EQ((*consumers)[0].task, c1.task);
@@ -78,42 +75,65 @@ TEST_F(OwnershipTableTest, ConsumersRegisteredWhilePendingReturnedOnReady) {
 
 TEST_F(OwnershipTableTest, ConsumerAfterReadyPushesImmediately) {
   ObjectId id = Register();
-  ASSERT_TRUE(table_.MarkReady(id, NodeId::Next(), 1).ok());
+  ASSERT_TRUE(table_.MarkReady(id, 1).ok());
   auto r = table_.RegisterConsumer(id, {TaskId::Next(), NodeId::Next(), DeviceId::Next()});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(*r);
 }
 
-TEST_F(OwnershipTableTest, NodeFailureMarksLastCopyLost) {
-  ObjectId id = Register();
-  NodeId loc = NodeId::Next();
-  ASSERT_TRUE(table_.MarkReady(id, loc, 1).ok());
-  auto lost = table_.OnNodeFailure(loc);
-  ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0], id);
-  EXPECT_EQ(table_.Resolve(id)->state, ObjectState::kLost);
+TEST_F(OwnershipTableTest, CopiesLostFlipsOnlyReadyRecords) {
+  ObjectId ready = Register();
+  ObjectId pending = Register();
+  ObjectId lost = Register();
+  ASSERT_TRUE(table_.MarkReady(ready, 1).ok());
+  ASSERT_TRUE(table_.MarkLost(lost).ok());
+  ObjectId unknown = ObjectId::Next();  // owned elsewhere, or not at all
+
+  auto flipped = table_.OnCopiesLost({unknown, pending, ready, lost});
+  ASSERT_EQ(flipped.size(), 1u);
+  EXPECT_EQ(flipped[0], ready);
+  EXPECT_EQ(table_.Resolve(ready)->state, ObjectState::kLost);
+  EXPECT_EQ(table_.Resolve(pending)->state, ObjectState::kPending);
+  EXPECT_EQ(table_.Resolve(lost)->state, ObjectState::kLost);
+  EXPECT_FALSE(table_.Contains(unknown));
+  // Reported again (a second failure), the now-lost record stays as it is.
+  EXPECT_TRUE(table_.OnCopiesLost({ready}).empty());
 }
 
-TEST_F(OwnershipTableTest, ReplicaLocationSurvivesFailure) {
+// A watcher fires once, when its pending record turns ready; losing the
+// ready record's copies fires nothing, and a watcher armed on the re-armed
+// record fires once at the rebuild.
+TEST_F(OwnershipTableTest, CopiesLostFiresEachWatcherOnce) {
   ObjectId id = Register();
-  NodeId loc1 = NodeId::Next();
-  NodeId loc2 = NodeId::Next();
-  ASSERT_TRUE(table_.MarkReady(id, loc1, 1).ok());
-  ASSERT_TRUE(table_.AddLocation(id, loc2).ok());
-  auto lost = table_.OnNodeFailure(loc1);
-  EXPECT_TRUE(lost.empty());
-  auto reply = table_.Resolve(id);
-  EXPECT_EQ(reply->state, ObjectState::kReady);
-  EXPECT_EQ(*reply->location, loc2);
+  ObjectId other = Register();
+  int fires = 0;
+  int other_fires = 0;
+  ASSERT_TRUE(table_.StateOrWatch(id, [&] { ++fires; }).ok());
+  ASSERT_TRUE(table_.StateOrWatch(other, [&] { ++other_fires; }).ok());
+  ASSERT_TRUE(table_.MarkReady(id, 1).ok());
+  EXPECT_EQ(fires, 1);
+
+  // `other` is still pending: it is skipped and its watcher stays armed.
+  ASSERT_EQ(table_.OnCopiesLost({id, other}).size(), 1u);
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(other_fires, 0);
+
+  ASSERT_TRUE(table_.MarkPendingForReconstruction(id).ok());
+  int rebuild_fires = 0;
+  ASSERT_TRUE(table_.StateOrWatch(id, [&] { ++rebuild_fires; }).ok());
+  ASSERT_TRUE(table_.MarkReady(id, 1).ok());
+  ASSERT_TRUE(table_.MarkReady(other, 1).ok());
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(rebuild_fires, 1);
+  EXPECT_EQ(other_fires, 1);
 }
 
 TEST_F(OwnershipTableTest, ReconstructionReArmsLostObject) {
   ObjectId id = ObjectId::Next();
   auto producer = std::make_shared<const TaskSpec>();
   ASSERT_TRUE(table_.RegisterObject(id, producer).ok());
-  NodeId loc = NodeId::Next();
-  ASSERT_TRUE(table_.MarkReady(id, loc, 1).ok());
-  table_.OnNodeFailure(loc);
+  ASSERT_TRUE(table_.MarkReady(id, 1).ok());
+  ASSERT_EQ(table_.OnCopiesLost({id}).size(), 1u);
   ASSERT_TRUE(table_.MarkPendingForReconstruction(id).ok());
   auto reply = table_.Resolve(id);
   EXPECT_EQ(reply->state, ObjectState::kPending);
@@ -129,7 +149,7 @@ TEST_F(OwnershipTableTest, WaitReadyBlocksUntilMarkReady) {
   ObjectId id = Register();
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    (void)table_.MarkReady(id, NodeId::Next(), 1);  // asserts don't work off-thread
+    (void)table_.MarkReady(id, 1);  // asserts don't work off-thread
   });
   auto state = table_.WaitReady(id, 2000);
   producer.join();
@@ -169,7 +189,7 @@ TEST_F(OwnershipTableTest, RefCountingRemovesAtZero) {
 
 TEST_F(OwnershipTableTest, StateOrWatchReturnsStateWithoutWatcherWhenResolved) {
   ObjectId id = Register();
-  ASSERT_TRUE(table_.MarkReady(id, NodeId::Next(), 1).ok());
+  ASSERT_TRUE(table_.MarkReady(id, 1).ok());
   bool fired = false;
   auto state = table_.StateOrWatch(id, [&] { fired = true; });
   ASSERT_TRUE(state.ok());
@@ -190,7 +210,7 @@ TEST_F(OwnershipTableTest, StateOrWatchFiresOnceOnMarkReady) {
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, ObjectState::kPending);
   EXPECT_EQ(fires, 0);
-  ASSERT_TRUE(table_.MarkReady(id, NodeId::Next(), 1).ok());
+  ASSERT_TRUE(table_.MarkReady(id, 1).ok());
   EXPECT_EQ(fires, 1);
   // A later state change must not re-fire a consumed watcher.
   ASSERT_TRUE(table_.MarkLost(id).ok());
@@ -234,7 +254,7 @@ TEST_F(OwnershipTableTest, WatchersRunOnTheThreadThatFlipsTheState) {
   std::thread::id flipper;
   std::thread t([&] {
     flipper = std::this_thread::get_id();
-    EXPECT_TRUE(table_.MarkReady(ready, NodeId::Next(), 1).ok());
+    EXPECT_TRUE(table_.MarkReady(ready, 1).ok());
     EXPECT_TRUE(table_.MarkLost(lost).ok());
     auto removed = table_.DecRef(released);
     EXPECT_TRUE(removed.ok() && *removed);
@@ -249,7 +269,7 @@ TEST_F(OwnershipTableTest, WatchersRunOnTheThreadThatFlipsTheState) {
 TEST_F(OwnershipTableTest, ObjectsInStateFilters) {
   ObjectId pending = Register();
   ObjectId ready = Register();
-  ASSERT_TRUE(table_.MarkReady(ready, NodeId::Next(), 1).ok());
+  ASSERT_TRUE(table_.MarkReady(ready, 1).ok());
   auto pendings = table_.ObjectsInState(ObjectState::kPending);
   auto readys = table_.ObjectsInState(ObjectState::kReady);
   ASSERT_EQ(pendings.size(), 1u);
@@ -282,7 +302,7 @@ TEST_F(OwnershipTableTest, TeardownWithQueuedAndUnfiredWatchers) {
                       .ok());
       if (i % 2 == 0) {
         // The watcher runs here and queues its continuation on the reactor.
-        ASSERT_TRUE(table.MarkReady(id, NodeId::Next(), 1).ok());
+        ASSERT_TRUE(table.MarkReady(id, 1).ok());
       }
     }
     EXPECT_EQ(fired->load(), 0);

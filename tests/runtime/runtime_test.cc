@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "tests/runtime/runtime_test_util.h"
 
@@ -605,7 +606,7 @@ TEST_F(RuntimeTest, LocalityPolicyPlacesComputeAtData) {
   ObjectId big = ObjectId::Next();
   ASSERT_TRUE(cluster_->cache().Put(big, Buffer::Zeros(8 * 1024 * 1024), target).ok());
   ASSERT_TRUE(runtime_->ownership(cluster_->head()).RegisterObject(big, nullptr).ok());
-  ASSERT_TRUE(runtime_->ownership(cluster_->head()).MarkReady(big, target, 8 * 1024 * 1024).ok());
+  ASSERT_TRUE(runtime_->ownership(cluster_->head()).MarkReady(big, 8 * 1024 * 1024).ok());
 
   int64_t executed_before = runtime_->raylet(target)->tasks_executed();
   auto refs = runtime_->Submit(
@@ -990,7 +991,7 @@ TEST_F(RuntimeTest, ArgumentAwaitingReconstructionHoldsNoWorker) {
   EXPECT_EQ(I64Of(*first), 2);
 
   ASSERT_TRUE(cluster_->cache().Put(arg, I64Buffer(41), node).ok());
-  ASSERT_TRUE(table.MarkReady(arg, node, 8).ok());
+  ASSERT_TRUE(table.MarkReady(arg, 8).ok());
   auto rebuilt = runtime_->Get((*waiting)[0], 10000);
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   EXPECT_EQ(I64Of(*rebuilt), 42);
@@ -1040,7 +1041,7 @@ TEST_F(RuntimeTest, NodeDeathWhileArgumentsLandRunsTaskOnce) {
   ASSERT_TRUE(runtime_->KillNode(victim).ok());
 
   ASSERT_TRUE(cluster_->cache().Put(arg, I64Buffer(41), cluster_->head()).ok());
-  ASSERT_TRUE(table.MarkReady(arg, cluster_->head(), 8).ok());
+  ASSERT_TRUE(table.MarkReady(arg, 8).ok());
   auto result = runtime_->Get((*out)[0], 10000);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(I64Of(*result), 42);
@@ -1139,7 +1140,7 @@ TEST_F(RuntimeTest, PushModeLandingPullsArgumentNotYetPushed) {
 
   // Ready without a push: the waiting landing fetches the value itself.
   ASSERT_TRUE(cluster_->cache().Put(arg, I64Buffer(41), cluster_->head()).ok());
-  ASSERT_TRUE(table.MarkReady(arg, cluster_->head(), 8).ok());
+  ASSERT_TRUE(table.MarkReady(arg, 8).ok());
   auto result = runtime_->Get((*out)[0], 10000);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(I64Of(*result), 42);
@@ -1147,8 +1148,8 @@ TEST_F(RuntimeTest, PushModeLandingPullsArgumentNotYetPushed) {
 }
 
 // An object with no producing task (a Put, or a record registered straight
-// into a table) cannot be rebuilt from lineage: losing its only copy counts
-// it as unrecoverable and leaves it lost.
+// into a table beside a cached value) cannot be rebuilt from lineage: losing
+// its only copy counts it as unrecoverable and leaves it lost.
 TEST_F(RuntimeTest, LostObjectsWithoutLineageCountAsUnrecoverable) {
   RuntimeOptions options;
   options.recovery = RecoveryMode::kLineage;
@@ -1166,7 +1167,8 @@ TEST_F(RuntimeTest, LostObjectsWithoutLineageCountAsUnrecoverable) {
   OwnershipTable& table = runtime_->ownership(cluster_->head());
   const ObjectId registered = ObjectId::Next();
   ASSERT_TRUE(table.RegisterObject(registered, nullptr).ok());
-  ASSERT_TRUE(table.MarkReady(registered, victim, 8).ok());
+  ASSERT_TRUE(cluster_->cache().Put(registered, I64Buffer(8), victim).ok());
+  ASSERT_TRUE(table.MarkReady(registered, 8).ok());
 
   ASSERT_TRUE(runtime_->KillNode(victim).ok());
   EXPECT_EQ(runtime_->metrics().GetCounter("runtime.unrecoverable_objects").value(), 2);
@@ -1202,6 +1204,135 @@ TEST_F(RuntimeTest, ReplicationSurvivesKillWithoutReexecution) {
   auto result = runtime_->Get((*a)[0], 5000);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(I64Of(*result), 2);
+  EXPECT_EQ(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 0);
+}
+
+// In push mode the value lands on its consumer's node before the consumer
+// runs. That copy outlives the producer's node, so the kill loses nothing
+// and re-runs nothing.
+TEST_F(RuntimeTest, PushedCopySurvivesKillOfProducerNode) {
+  RuntimeOptions options;
+  options.futures = FutureProtocol::kPush;
+  Build(options);
+  const std::vector<NodeId> nodes = cluster_->ComputeNodes();
+  TaskSpec produce = Call("inc_i64", {TaskArg::Value(I64Buffer(41))});
+  produce.pinned_node = nodes[1];
+  auto value = runtime_->Submit(std::move(produce));
+  ASSERT_TRUE(value.ok());
+  const ObjectRef ref = (*value)[0];
+  // Ready before the consumer is dispatched, so the dispatch pushes it.
+  ASSERT_TRUE(runtime_->Wait({ref}, 10000).ok());
+  TaskSpec consume = Call("inc_i64", {TaskArg::Ref(ref)});
+  consume.pinned_node = nodes[2];
+  auto consumed = runtime_->Submit(std::move(consume));
+  ASSERT_TRUE(consumed.ok());
+  auto result = runtime_->Get((*consumed)[0], 10000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(I64Of(*result), 43);
+  ASSERT_TRUE(cluster_->cache().StoreOf(nodes[2])->Contains(ref.id));
+
+  ASSERT_TRUE(runtime_->KillNode(nodes[1]).ok());
+  auto reply = runtime_->ownership(ref.owner).Resolve(ref.id);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->state, ObjectState::kReady);
+  auto survived = runtime_->Get(ref, 5000);
+  ASSERT_TRUE(survived.ok()) << survived.status().ToString();
+  EXPECT_EQ(I64Of(*survived), 42);
+  EXPECT_EQ(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 0);
+}
+
+// Two servers with 4 MiB stores and one memory blade; 3 MiB objects, so a
+// second one on a server evicts the first.
+class BladeRuntimeTest : public RuntimeTest {
+ protected:
+  static constexpr int64_t kObjectBytes = 3 * 1024 * 1024;
+
+  void BuildWithBlade(RuntimeOptions options = {}) {
+    ClusterConfig config;
+    config.racks = 1;
+    config.servers_per_rack = 2;
+    config.workers_per_server = 2;
+    config.server_store_bytes = 4 * 1024 * 1024;
+    config.memory_blades = 1;
+    config.blade_bytes = 64 * 1024 * 1024;
+    Build(options, config);
+    node_ = cluster_->ComputeNodes()[1];
+    for (const ClusterNode& n : cluster_->nodes()) {
+      if (n.role == NodeRole::kMemoryBlade) {
+        blade_ = n.id;
+      }
+    }
+    ASSERT_TRUE(cluster_->cache().EnableSpillToBlade(node_).ok());
+  }
+
+  // Evicts `ref` from node_ to the blade by putting a second object there.
+  // That object is then released, so node_ has room again.
+  void SpillToBlade(const ObjectRef& ref) {
+    auto evictor = runtime_->PutAt(Buffer::Zeros(kObjectBytes), node_);
+    ASSERT_TRUE(evictor.ok()) << evictor.status().ToString();
+    ASSERT_EQ(cluster_->cache().Locations(ref.id), std::vector<NodeId>{blade_});
+    ASSERT_TRUE(runtime_->Release(*evictor).ok());
+  }
+
+  // Runs a task on node_ and spills its output to the blade.
+  void SpillTaskOutput(ObjectRef* out) {
+    TaskSpec spec = Call("make_zeros", {TaskArg::Value(I64Buffer(kObjectBytes))});
+    spec.pinned_node = node_;
+    auto refs = runtime_->Submit(std::move(spec));
+    ASSERT_TRUE(refs.ok()) << refs.status().ToString();
+    *out = (*refs)[0];
+    ASSERT_TRUE(runtime_->Wait(*refs, 10000).ok());
+    SpillToBlade(*out);
+  }
+
+  NodeId node_;
+  NodeId blade_;
+};
+
+// A spilled Put's copy is on the blade, so its origin's death loses nothing.
+TEST_F(BladeRuntimeTest, SpilledPutSurvivesKillOfItsOrigin) {
+  ASSERT_NO_FATAL_FAILURE(BuildWithBlade());
+  auto put = runtime_->PutAt(Buffer::Zeros(kObjectBytes), node_);
+  ASSERT_TRUE(put.ok());
+  ASSERT_NO_FATAL_FAILURE(SpillToBlade(*put));
+
+  ASSERT_TRUE(runtime_->KillNode(node_).ok());
+  auto result = runtime_->Get(*put, 5000);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->size(), static_cast<size_t>(kObjectBytes));
+  EXPECT_EQ(runtime_->metrics().GetCounter("runtime.unrecoverable_objects").value(), 0);
+}
+
+// A memory blade fails while its compute peers stay up. The task output that
+// spilled there lost its only copy, and lineage rebuilds it on its node. The
+// rebuilt output fits there without spilling: the only blade is dead.
+TEST_F(BladeRuntimeTest, BladeKillRebuildsSpilledOutputFromLineage) {
+  ASSERT_NO_FATAL_FAILURE(BuildWithBlade());
+  ObjectRef out;
+  ASSERT_NO_FATAL_FAILURE(SpillTaskOutput(&out));
+
+  ASSERT_TRUE(runtime_->KillNode(blade_).ok());
+  auto rebuilt = runtime_->Get(out, 10000);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_EQ(rebuilt->size(), static_cast<size_t>(kObjectBytes));
+  EXPECT_EQ(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 1);
+  // Only a node the cluster does not have is refused.
+  EXPECT_EQ(runtime_->KillNode(NodeId::Next()).code(), StatusCode::kNotFound);
+}
+
+TEST_F(BladeRuntimeTest, BladeKillWithoutRecoveryReportsDataLossAtOnce) {
+  RuntimeOptions options;
+  options.recovery = RecoveryMode::kNone;
+  ASSERT_NO_FATAL_FAILURE(BuildWithBlade(options));
+  ObjectRef out;
+  ASSERT_NO_FATAL_FAILURE(SpillTaskOutput(&out));
+
+  ASSERT_TRUE(runtime_->KillNode(blade_).ok());
+  const int64_t start = NowNanos();
+  auto result = runtime_->Get(out, 10000);
+  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss) << result.status().ToString();
+  // No lost-round backoff: the lost state is final without recovery.
+  EXPECT_LT(NowNanos() - start, 500'000'000);
   EXPECT_EQ(runtime_->metrics().GetCounter("runtime.lineage_reexecutions").value(), 0);
 }
 

@@ -73,8 +73,8 @@ class SchedulerTest : public ::testing::Test {
     return id;
   }
 
-  void MarkReady(ObjectId id, NodeId at = NodeId::Next(), int64_t size = 1) {
-    ASSERT_TRUE(table_.MarkReady(id, at, size).ok());
+  void MarkReady(ObjectId id, int64_t size = 1) {
+    ASSERT_TRUE(table_.MarkReady(id, size).ok());
   }
 
   static TaskArg Arg(ObjectId id) { return TaskArg::Ref(ObjectRef{id, NodeId()}); }
@@ -131,8 +131,8 @@ TEST_F(SchedulerTest, LocalityFollowsBytes) {
   ObjectId small = Register();
   ASSERT_TRUE(cache_->Put(big, Buffer::Zeros(1024 * 1024), node_ids_[2]).ok());
   ASSERT_TRUE(cache_->Put(small, Buffer::Zeros(64), node_ids_[0]).ok());
-  MarkReady(big, node_ids_[2], 1024 * 1024);
-  MarkReady(small, node_ids_[0], 64);
+  MarkReady(big, 1024 * 1024);
+  MarkReady(small, 64);
 
   ASSERT_TRUE(scheduler->Submit(MakeTask({Arg(big), Arg(small)})).ok());
   ASSERT_EQ(dispatched_.size(), 1u);
@@ -373,7 +373,7 @@ TEST_F(SchedulerTest, AdmittingThreadDispatches) {
   std::thread::id resolver_id;
   std::thread resolver([&] {
     resolver_id = std::this_thread::get_id();
-    EXPECT_TRUE(table_.MarkReady(dep, node_ids_[0], 1).ok());
+    EXPECT_TRUE(table_.MarkReady(dep, 1).ok());
   });
   resolver.join();
   ASSERT_EQ(dispatchers.size(), 2u);
@@ -552,7 +552,7 @@ TEST_F(SchedulerTest, ConcurrentParkAndReadyDispatchesEachTaskOnce) {
   for (int m = 0; m < kMarkers; ++m) {
     threads.emplace_back([&, m] {
       for (int i = m; i < kObjects; i += kMarkers) {
-        ASSERT_TRUE(table_.MarkReady(objects[i], node_ids_[0], 1).ok());
+        ASSERT_TRUE(table_.MarkReady(objects[i], 1).ok());
         std::this_thread::yield();
       }
     });

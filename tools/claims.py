@@ -2,12 +2,13 @@
 """Gates the paper-claim shapes of EXPERIMENTS.md on the bench binaries.
 
 Runs bench_fig3_futures (F3a), bench_fig3_gen1_gen2 (F3b), the DOP-1 row of
-bench_fig2_access_layer (F2), bench_a1_recovery (A1) and
+bench_fig2_access_layer (F2), bench_a1_recovery (A1), bench_a5_spill (A5) and
 bench_a6_control_plane (A6) with --benchmark_format=json, and checks their
 counters:
 
   * deterministic counters (modelled time, control hops, tasks, fabric bytes,
-    gangs dispatched) must equal the values EXPERIMENTS.md reports;
+    gangs dispatched, A5's OOM failures, completed reads and spill MiB on
+    every row) must equal the values EXPERIMENTS.md reports;
   * the rows that follow thread timing are checked against a stated band.
     A1's lineage row reads 45.1444 ms on an idle host and 44.1-44.6 under
     load: its re-executed producers fall back to locality placement, which
@@ -37,6 +38,7 @@ import sys
 F3A = "BM_FutureResolution/proto(0=pull,1=push):{proto}/op_ns:{op_ns}/iterations:2"
 F3B = "BM_Gen1VsGen2/gen:{gen}/op_ns:{op_ns}/iterations:2"
 A1 = "BM_Recovery/mode(0=lineage,1=repl,2=ec):{mode}/iterations:2"
+A5 = "BM_SpillToBlade/ws_x10:{ws}/blade:{blade}/iterations:2"
 OP_NS = (10_000, 100_000, 1_000_000, 10_000_000)
 
 
@@ -64,6 +66,22 @@ def expectations():
         (0, (40.0, 55.5), 1.0), (1, (0.0, 10.5), 2.0), (2, 5.233912, 1.5)):
         yield "bench_a1_recovery", A1.format(mode=mode), "recovery_ms", recovery
         yield "bench_a1_recovery", A1.format(mode=mode), "storage_factor", storage
+    # Working set 0.5x-4x of a 64 MiB store. Without the blade, reads of
+    # silently evicted objects fail past 1x; with it, every read completes
+    # and the overflow spills (modelled time is checked where it spills).
+    for blade, rows in (
+        (0, ((5, 0, 8, 0, None), (10, 0, 16, 0, None),
+             (20, 16, 16, 0, None), (40, 48, 16, 0, None))),
+        (1, ((5, 0, 8, 0, None), (10, 0, 16, 0, None),
+             (20, 0, 32, 64, 13.90176), (40, 0, 64, 192, 41.70528))),
+    ):
+        for ws, oom, reads, spill_mib, modelled in rows:
+            name = A5.format(ws=ws, blade=blade)
+            yield "bench_a5_spill", name, "oom_failures", oom
+            yield "bench_a5_spill", name, "reads_ok", reads
+            yield "bench_a5_spill", name, "spill_MiB", spill_mib
+            if modelled is not None:
+                yield "bench_a5_spill", name, "modelled_ms", modelled
     yield "bench_a6_control_plane", "BM_AutoscalerBurst/autoscale:0/iterations:2", "scale_ups", 0
     yield "bench_a6_control_plane", "BM_AutoscalerBurst/autoscale:1/iterations:2", "scale_ups", (4, 14)
     yield "bench_a6_control_plane", "BM_GangScheduling/gang:0/iterations:2", "gangs_dispatched", 0

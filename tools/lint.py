@@ -147,7 +147,7 @@ STATUS_RETURNING = {
     # LocalObjectStore / CachingLayer
     "Put", "Pin", "Unpin", "PutEc", "PutDurable", "Migrate", "EnableSpillToBlade",
     # OwnershipTable
-    "RegisterObject", "AddLocation", "MarkLost", "MarkPendingForReconstruction",
+    "RegisterObject", "MarkLost", "MarkPendingForReconstruction",
     "IncRef", "DecRef",
     # Fabric / scheduler / raylet / runtime. "Register" is absent: it
     # collides with void Autoscaler::Register; FunctionRegistry::Register
